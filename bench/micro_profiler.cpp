@@ -4,9 +4,9 @@
 // every hook is an empty inline, so BM_SetContext and BM_ProfScope must be
 // indistinguishable from BM_Baseline (scripts/soak.sh additionally greps
 // the OFF-build hot-path objects for prof symbols). Compiled in, the hooks
-// are one relaxed TLS store each — the SIGPROF handler reads the word
-// asynchronously, so there is nothing heavier to pay on the scheduler's
-// transition sites.
+// are one relaxed store each into the per-thread context
+// (obs/thread_ctx.hpp) — the SIGPROF handler reads the word asynchronously,
+// so there is nothing heavier to pay on the scheduler's transition sites.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -27,12 +27,12 @@ void BM_Baseline(benchmark::State& state) {
 BENCHMARK(BM_Baseline);
 
 void BM_SetContext(benchmark::State& state) {
-  // The shape of run_next / acquire / idle_sleep: task attribution on
-  // dispatch, bucket attribution back in the scheduler loop.
+  // The shape of acquire / idle_sleep: two bucket transitions. (The
+  // dispatch bracket's task word is priced by micro_sched_hotpath.)
   std::uint64_t acc = 0;
   for (auto _ : state) {
-    icilk::obs::prof_enter_task(static_cast<int>(acc & 3),
-                                static_cast<std::uint16_t>(acc));
+    icilk::obs::prof_enter_bucket(ProfBucket::kTask,
+                                  static_cast<int>(acc & 3));
     icilk::obs::prof_enter_bucket(ProfBucket::kSchedLoop,
                                   static_cast<int>(acc & 3));
     acc++;

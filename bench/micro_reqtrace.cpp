@@ -7,7 +7,7 @@
 //                server pays per request just for attribution.
 //   transition   a single enter() phase change (the per-suspension cost).
 //   runtime      Runtime::req_begin/req_end from task code, including the
-//                dispatch hook TLS traffic.
+//                dispatch bracket's request binding.
 //
 // The pooled allocator makes steady-state begin/end allocation-free; this
 // binary ASSERTS that (exit 1 on violation) when pools are on, so the

@@ -15,6 +15,11 @@
 //                 closure publish, worker wake, run, completion, external
 //                 notify. The end-to-end task round trip a connection
 //                 accept pays.
+//   dispatch_bracket  obs::strand_enter + obs::strand_leave as run_next
+//                 wraps them around every switch_context in the default
+//                 configuration (no request, TSC strand clock armed): the
+//                 per-dispatch price of the observability hooks plus the
+//                 worker's work clock.
 //
 // Run both ways for the before/after cost model in DESIGN.md:
 //   ./bench/micro_sched_hotpath                      # inline gate armed
@@ -26,6 +31,7 @@
 
 #include "core/api.hpp"
 #include "core/prompt_scheduler.hpp"
+#include "obs/thread_ctx.hpp"
 
 namespace {
 
@@ -114,6 +120,19 @@ int main(int argc, char** argv) {
     const double secs =
         std::chrono::duration<double>(Clock::now() - t0).count();
     report("submit_drain", submit_ops, secs, gate_on);
+  }
+
+  {
+    obs::SpanAcc acc;
+    const auto t0 = Clock::now();
+    for (std::uint64_t i = 0; i < noop_ops; ++i) {
+      const std::uint64_t start =
+          obs::strand_enter(nullptr, false, 0, &acc, false);
+      (void)(obs::strand_leave(0) - start);
+    }
+    const double secs =
+        std::chrono::duration<double>(Clock::now() - t0).count();
+    report("dispatch_bracket", noop_ops, secs, gate_on);
   }
   return 0;
 }

@@ -3,11 +3,14 @@
 // Two levels of evidence for the "cheap enough to leave on" claim:
 //
 //   hook rows    tight-loop cost of the strand hooks against the bare
-//                loop baseline: the dispatch/undispatch pair (two
-//                CLOCK_THREAD_CPUTIME_ID reads bracketing every fiber
-//                run), one structural event (sp_strand_now: flush +
+//                loop baseline: spanprof's half of the dispatch bracket
+//                (sp_strand_arm/sp_strand_flush around every fiber run;
+//                the TSC clock reuses the bracket's tick readings, so the
+//                default pair costs two scalings and the flush, while the
+//                precise pair reads CLOCK_THREAD_CPUTIME_ID twice), one
+//                structural event (sp_strand_now: clock read, flush +
 //                restart), and the disarmed event (the per-event cost
-//                when RuntimeConfig::spanprof_enabled=false — one TLS
+//                when RuntimeConfig::spanprof_enabled=false — one context
 //                load and branch). Under -DICILK_SPANPROF=OFF every hook
 //                inlines to nothing and all three rows must collapse to
 //                the baseline — scripts/soak.sh gates on that in its
@@ -49,7 +52,7 @@
 #include <vector>
 
 #include "bench/common.hpp"
-#include "obs/spanprof.hpp"
+#include "obs/thread_ctx.hpp"
 
 namespace {
 
@@ -98,32 +101,37 @@ HookCosts bench_hooks() {
   hook_row("base", base);
 
   // Disarmed structural event: the per-event cost with the runtime kill
-  // switch thrown (spanprof_enabled=false) — one TLS load + branch. The
-  // result is deliberately unused: sp_strand_now is out-of-line when
+  // switch thrown (spanprof_enabled=false) — one context load + branch.
+  // The result is deliberately unused: sp_strand_now is out-of-line when
   // compiled in (the call can't be elided), and under ICILK_SPANPROF=OFF
   // the inline stub must leave a loop identical to the baseline.
-  obs::sp_dispatch(nullptr, false, false);
+  obs::ThreadCtx& ctx = obs::thread_ctx();
+  obs::sp_strand_arm(ctx, nullptr, false, 0);
   const double disarmed = timed_loop([] { (void)obs::sp_strand_now(); });
   hook_row("hook_disarmed", disarmed);
   out.disarmed_ns = disarmed;
 
-  // The fiber-boundary pair (one clock read going in, one coming out) and
-  // the armed structural event (spawn/sync/future get: flush + restart =
-  // one read plus three adds), under both strand clocks — the default TSC
-  // and the precise thread-CPU syscall (RuntimeConfig::spanprof_precise).
+  // Spanprof's half of the dispatch bracket (arm going in, flush coming
+  // out) and the armed structural event (spawn/sync/future get: flush +
+  // restart = one read plus three adds), under both strand clocks — the
+  // default TSC and the precise thread-CPU syscall
+  // (RuntimeConfig::spanprof_precise). The pair takes its ticks from the
+  // caller, as strand_enter/strand_leave hand over the readings that also
+  // time the worker's work clock; a counter stands in for them here.
   obs::SpanAcc acc;
+  std::uint64_t ticks = 0;
   for (const bool precise : {false, true}) {
-    const double pair = timed_loop([&acc, precise] {
-      obs::sp_dispatch(&acc, true, precise);
-      obs::sp_undispatch();
+    const double pair = timed_loop([&] {
+      obs::sp_strand_arm(ctx, &acc, precise, ticks);
+      obs::sp_strand_flush(ctx, ++ticks);
     });
     hook_row(precise ? "hook_dispatch_pair_precise" : "hook_dispatch_pair",
              pair);
     if (!precise) out.pair_ns = pair;
 
-    obs::sp_dispatch(&acc, true, precise);
+    obs::sp_strand_arm(ctx, &acc, precise, now_ticks());
     const double event = timed_loop([] { (void)obs::sp_strand_now(); });
-    obs::sp_undispatch();
+    obs::sp_strand_flush(ctx, now_ticks());
     hook_row(precise ? "hook_event_precise" : "hook_event", event);
     if (!precise) out.event_ns = event;
   }
@@ -136,7 +144,7 @@ HookCosts bench_hooks() {
 /// of real cost regressions reads — wiring the armed path through the
 /// ~200ns CLOCK_THREAD_CPUTIME_ID syscall puts the pair at ~390ns and the
 /// event at ~195ns, and arming the disarmed path shows up as a clock read
-/// where a TLS load and branch should be. Unlike the end-to-end rows,
+/// where a context load and branch should be. Unlike the end-to-end rows,
 /// these tight-loop numbers are repeatable to a few percent, so the
 /// bounds actually discriminate.
 bool check_hook_bounds(const HookCosts& c) {

@@ -19,19 +19,20 @@
 #             the worst-K timelines parse.
 #   reqoff    build with ICILK_TRACE=OFF ICILK_REQTRACE=OFF and prove the
 #             request-tracing compile-out: (a) the hot-path objects carry
-#             no live ReqContext/TLS-binding symbols, and (b)
+#             no live ReqContext/context-accessor symbols, and (b)
 #             micro_reqtrace's attributed runtime loop costs the same as
 #             its unattributed baseline loop.
 #   wdoff     build with ICILK_WATCHDOG=OFF and prove the watchdog
 #             compile-out: (a) the hot-path objects carry no watchdog
-#             symbols (census hooks, state publication, Watchdog class),
+#             symbols (census hooks, Watchdog class),
 #             (b) micro_watchdog's hook loops cost the same as its plain
 #             baseline loop, and (c) `ctest -L obs` still passes (the
 #             hook-dependent cases skip).
 #   profoff   build with ICILK_PROFILE=OFF and prove the profiler
 #             compile-out: (a) the hot-path objects carry no prof hooks
-#             (context stores, thread registration), (b) micro_profiler's
-#             hook loops cost the same as its plain baseline loop, and
+#             (bucket stores, scopes, thread registration), (b)
+#             micro_profiler's hook loops cost the same as its plain
+#             baseline loop, and
 #             (c) `ctest -L obs` still passes (attribution cases skip).
 #   tsoff     build with ICILK_TIMESERIES=OFF and prove the time-series
 #             compile-out: (a) the hot-path objects carry no TimeSeries
@@ -41,10 +42,15 @@
 #             class stays compiled; enablement cases skip).
 #   spoff     build with ICILK_SPANPROF=OFF and prove the work/span
 #             profiler compile-out: (a) the hot-path objects carry no
-#             spanprof symbols (sp_dispatch/sp_strand_now/sp_note_overhead
-#             and friends must fold away), (b) micro_spanprof's hook loops
-#             cost the same as its plain baseline loop, and (c)
-#             `ctest -L obs` still passes (the closed-form cases skip).
+#             spanprof symbols (the dispatch bracket's strand clock,
+#             sp_strand_now and the burden estimator must fold away), (b)
+#             micro_spanprof's hook loops cost the same as its plain
+#             baseline loop, and (c) `ctest -L obs` still passes (the
+#             closed-form cases skip).
+#
+# Every (a) check reads its symbol patterns from scripts/hook_symbols.txt
+# (shared with the CI off-matrix job) and, when build/ holds a default
+# build, also proves each pattern matches something there.
 #
 # Usage: scripts/soak.sh [tsan|asan|offcheck|attribution|reqoff|wdoff|profoff|tsoff|spoff|all] \
 #                        [soak-duration-s] [seed]
@@ -65,6 +71,25 @@ build() { # build <dir> <extra cmake args...>
   shift
   cmake -B "$dir" -S "$REPO_ROOT" "$@" >/dev/null || return 1
   cmake --build "$dir" -j "$JOBS" >/dev/null
+}
+
+# hook_check <phase> <off-build-dir> FLAG...: the compile-out proof over
+# the table in scripts/hook_symbols.txt. The OFF build's hot-path objects
+# must carry none of the flags' symbols, and the default build (when
+# built/ exists) must carry every live one, so the patterns can match.
+hook_check() {
+  local phase="$1" dir="$2"
+  shift 2
+  note "$phase: hot-path objects carry no $* hook symbols"
+  "$REPO_ROOT/scripts/hook_symbols.sh" absent "$dir" "$@" ||
+    fail "$phase: $* hook symbols survived the compile-out"
+  if [ -d "$REPO_ROOT/build/src" ]; then
+    note "$phase: every $* pattern matches the default build"
+    "$REPO_ROOT/scripts/hook_symbols.sh" live "$REPO_ROOT/build" "$@" ||
+      fail "$phase: a $* pattern matches nothing in the default build"
+  else
+    echo "skipping the default-build match (build/ not built)"
+  fi
 }
 
 run_sanitizer_phase() { # run_sanitizer_phase <name> <ICILK_SANITIZE value>
@@ -94,28 +119,8 @@ run_offcheck_phase() {
   fi
 
   # (a) No inject symbol may be referenced (or emitted) by the hot-path
-  # translation units. The itanium-mangled namespace is ...6injectE-free:
-  # any occurrence of "6inject" means a hook survived the compile-out.
-  note "offcheck: hot-path objects reference no inject symbols"
-  local objs=(
-    "src/io/CMakeFiles/icilk_io.dir/reactor.cpp.o"
-    "src/core/CMakeFiles/icilk_core.dir/policy/prompt_policy.cpp.o"
-    "src/core/CMakeFiles/icilk_core.dir/policy/multiqueue_policy.cpp.o"
-    "src/core/CMakeFiles/icilk_core.dir/runtime.cpp.o"
-  )
-  local o
-  for o in "${objs[@]}"; do
-    if [ ! -f "$dir/$o" ]; then
-      fail "offcheck: missing object $o"
-      continue
-    fi
-    if nm "$dir/$o" | grep -q '6inject'; then
-      fail "offcheck: $o still references inject symbols:"
-      nm "$dir/$o" | grep '6inject' | head -5
-    else
-      echo "clean: $o"
-    fi
-  done
+  # translation units: the itanium-mangled namespace is ...6injectE-free.
+  hook_check offcheck "$dir" INJECT
 
   # (b) probe() folded to nothing: the probe loop and the baseline loop
   # must cost the same (<1.5x, far under the >2x an extra load+branch or a
@@ -163,30 +168,11 @@ run_reqoff_phase() {
   fi
 
   # (a) No live request-tracing machinery in the hot-path objects: the
-  # TLS binding accessors and ReqContext member functions must be absent.
+  # context accessor and ReqContext member functions must be absent.
   # (ReqContext may still appear as a mangled POINTER PARAMETER type,
   # "...10ReqContextE", in always-compiled signatures — that is a type
-  # name, not code; the grep matches members, "ReqContext<len><name>".)
-  note "reqoff: hot-path objects carry no request-tracing symbols"
-  local objs=(
-    "src/io/CMakeFiles/icilk_io.dir/reactor.cpp.o"
-    "src/core/CMakeFiles/icilk_core.dir/policy/prompt_policy.cpp.o"
-    "src/core/CMakeFiles/icilk_core.dir/policy/multiqueue_policy.cpp.o"
-    "src/core/CMakeFiles/icilk_core.dir/runtime.cpp.o"
-  )
-  local o
-  for o in "${objs[@]}"; do
-    if [ ! -f "$dir/$o" ]; then
-      fail "reqoff: missing object $o"
-      continue
-    fi
-    if nm "$dir/$o" | grep -q 'req_set_current\|req_thread_ring\|req_thread_where\|ReqContext[0-9]'; then
-      fail "reqoff: $o still references request-tracing symbols:"
-      nm "$dir/$o" | grep 'req_set_current\|req_thread_ring\|req_thread_where\|ReqContext[0-9]' | head -5
-    else
-      echo "clean: $o"
-    fi
-  done
+  # name, not code; the table matches members, "ReqContext<len><name>".)
+  hook_check reqoff "$dir" REQTRACE
 
   # (b) req_begin/req_end folded to stubs: the attributed runtime loop in
   # micro_reqtrace must cost the same as its unattributed baseline
@@ -221,31 +207,9 @@ run_wdoff_phase() {
     return
   fi
 
-  # (a) No watchdog machinery in the hot-path objects: the census hooks,
-  # the worker-state publication helper, and the Watchdog class itself
-  # ("...8Watchdog" mangled) must be absent. wd_publish_state is a
-  # constexpr-inline store so it leaves no symbol either way; the grep
-  # catches a non-folded out-of-line survivor.
-  note "wdoff: hot-path objects carry no watchdog symbols"
-  local objs=(
-    "src/io/CMakeFiles/icilk_io.dir/reactor.cpp.o"
-    "src/core/CMakeFiles/icilk_core.dir/policy/prompt_policy.cpp.o"
-    "src/core/CMakeFiles/icilk_core.dir/policy/multiqueue_policy.cpp.o"
-    "src/core/CMakeFiles/icilk_core.dir/runtime.cpp.o"
-  )
-  local o
-  for o in "${objs[@]}"; do
-    if [ ! -f "$dir/$o" ]; then
-      fail "wdoff: missing object $o"
-      continue
-    fi
-    if nm "$dir/$o" | grep -q 'wd_census\|wd_publish_state\|8Watchdog'; then
-      fail "wdoff: $o still references watchdog symbols:"
-      nm "$dir/$o" | grep 'wd_census\|wd_publish_state\|8Watchdog' | head -5
-    else
-      echo "clean: $o"
-    fi
-  done
+  # (a) No watchdog machinery in the hot-path objects: the census hooks
+  # and the Watchdog class itself ("...8Watchdog" mangled) must be absent.
+  hook_check wdoff "$dir" WATCHDOG
 
   # (b) The hooks folded to nothing: the state-publication and census-note
   # loops in micro_watchdog must cost the same as the plain baseline loop
@@ -299,32 +263,11 @@ run_profoff_phase() {
     return
   fi
 
-  # (a) No profiler machinery in the hot-path objects: the TLS context
-  # accessors and thread-registration hooks must be absent. (The Profiler
+  # (a) No profiler machinery in the hot-path objects: the bucket and
+  # scope hooks and thread registration must be absent. (The Profiler
   # class itself stays compiled in icilk_obs — endpoints and tests drive
-  # it — but the runtime/scheduler/reactor objects must not reference it:
-  # "8Profiler" in a hot-path object means a hook survived.)
-  note "profoff: hot-path objects carry no profiler symbols"
-  local objs=(
-    "src/io/CMakeFiles/icilk_io.dir/reactor.cpp.o"
-    "src/core/CMakeFiles/icilk_core.dir/policy/prompt_policy.cpp.o"
-    "src/core/CMakeFiles/icilk_core.dir/policy/multiqueue_policy.cpp.o"
-    "src/core/CMakeFiles/icilk_core.dir/policy/adaptive_policy.cpp.o"
-    "src/core/CMakeFiles/icilk_core.dir/runtime.cpp.o"
-  )
-  local o
-  for o in "${objs[@]}"; do
-    if [ ! -f "$dir/$o" ]; then
-      fail "profoff: missing object $o"
-      continue
-    fi
-    if nm "$dir/$o" | grep -q 'prof_set_context\|prof_context\|prof_register_thread\|prof_unregister_thread\|8Profiler'; then
-      fail "profoff: $o still references profiler symbols:"
-      nm "$dir/$o" | grep 'prof_set_context\|prof_context\|prof_register_thread\|prof_unregister_thread\|8Profiler' | head -5
-    else
-      echo "clean: $o"
-    fi
-  done
+  # it — but "8Profiler" in a hot-path object means a hook survived.)
+  hook_check profoff "$dir" PROFILE
 
   # (b) The hooks folded to nothing: micro_profiler's context-store and
   # scope loops must cost the same as the plain baseline loop (<1.5x; the
@@ -366,29 +309,8 @@ run_tsoff_phase() {
   fi
 
   # (a) No time-series machinery in the hot-path objects: the TimeSeries
-  # class ("...10TimeSeries" mangled) must be absent. ts_note_request is
-  # an empty inline in the OFF build so it leaves no symbol either way;
-  # any TimeSeries reference means a hook survived the compile-out.
-  note "tsoff: hot-path objects carry no time-series symbols"
-  local objs=(
-    "src/io/CMakeFiles/icilk_io.dir/reactor.cpp.o"
-    "src/core/CMakeFiles/icilk_core.dir/policy/prompt_policy.cpp.o"
-    "src/core/CMakeFiles/icilk_core.dir/policy/multiqueue_policy.cpp.o"
-    "src/core/CMakeFiles/icilk_core.dir/runtime.cpp.o"
-  )
-  local o
-  for o in "${objs[@]}"; do
-    if [ ! -f "$dir/$o" ]; then
-      fail "tsoff: missing object $o"
-      continue
-    fi
-    if nm "$dir/$o" | grep -q '10TimeSeries\|ts_note_request'; then
-      fail "tsoff: $o still references time-series symbols:"
-      nm "$dir/$o" | grep '10TimeSeries\|ts_note_request' | head -5
-    else
-      echo "clean: $o"
-    fi
-  done
+  # class ("...10TimeSeries" mangled) must be absent.
+  hook_check tsoff "$dir" TIMESERIES
 
   # (b) The hook folded to nothing: both hook loops in micro_timeseries
   # (null pointer and live object) must cost the same as the plain
@@ -429,31 +351,10 @@ run_spoff_phase() {
     return
   fi
 
-  # (a) No spanprof machinery in the hot-path objects: the strand-clock
-  # accessors and the burden estimator must be absent. In the OFF build
-  # every sp_* hook is an empty inline, so any "sp_dispatch" /
-  # "sp_strand_now" / "sp_undispatch" / "sp_note_overhead" /
-  # "sp_overhead_est" survivor means a hook escaped the compile-out.
-  note "spoff: hot-path objects carry no spanprof symbols"
-  local objs=(
-    "src/io/CMakeFiles/icilk_io.dir/reactor.cpp.o"
-    "src/core/CMakeFiles/icilk_core.dir/policy/prompt_policy.cpp.o"
-    "src/core/CMakeFiles/icilk_core.dir/policy/multiqueue_policy.cpp.o"
-    "src/core/CMakeFiles/icilk_core.dir/runtime.cpp.o"
-  )
-  local o
-  for o in "${objs[@]}"; do
-    if [ ! -f "$dir/$o" ]; then
-      fail "spoff: missing object $o"
-      continue
-    fi
-    if nm "$dir/$o" | grep -q 'sp_dispatch\|sp_undispatch\|sp_strand_now\|sp_note_overhead\|sp_overhead_est'; then
-      fail "spoff: $o still references spanprof symbols:"
-      nm "$dir/$o" | grep 'sp_dispatch\|sp_undispatch\|sp_strand_now\|sp_note_overhead\|sp_overhead_est' | head -5
-    else
-      echo "clean: $o"
-    fi
-  done
+  # (a) No spanprof machinery in the hot-path objects: the dispatch
+  # bracket's strand clock, the structural-event flush and the burden
+  # estimator must be absent.
+  hook_check spoff "$dir" SPANPROF
 
   # (b) The hooks folded to nothing: every hook loop in micro_spanprof
   # (disarmed event, dispatch pair, armed event, both clock modes) must

@@ -49,7 +49,7 @@ inline std::uint64_t now_ns() noexcept {
 
 /// Nanoseconds of CPU time consumed by the CALLING THREAD
 /// (CLOCK_THREAD_CPUTIME_ID — a real syscall, ~200ns, no vDSO fast path).
-/// Too expensive for per-strand-event use; see now_strand_ns().
+/// Too expensive for per-strand-event use; see ticks_to_ns().
 std::uint64_t now_cpu_ns() noexcept;
 
 namespace detail {
@@ -57,19 +57,14 @@ namespace detail {
 double ns_per_tick() noexcept;
 }  // namespace detail
 
-/// Strand clock for the work/span profiler (src/obs/spanprof.hpp):
-/// invariant-TSC ticks scaled to ns (~7ns per read). Differences are only
-/// meaningful between two calls on the same OS thread with no park in
-/// between — the profiler's TLS save/restore discipline guarantees that.
-/// This is a WALL clock: a strand preempted mid-run is charged the time it
-/// spent preempted, so "work" equals CPU-ns only when workers are not
-/// oversubscribed. That inaccuracy is the price of the 2% overhead budget:
-/// CLOCK_THREAD_CPUTIME_ID at every fiber dispatch and structural event
-/// measured ~25% end-to-end latency overhead on minicached
-/// (bench/micro_spanprof), the TSC is noise. First use calibrates (20ms);
-/// Runtime's constructor forces that before any strand is timed.
-inline std::uint64_t now_strand_ns() noexcept {
-  return static_cast<std::uint64_t>(static_cast<double>(now_ticks()) *
+/// Scales a now_ticks() reading to ns: the work/span profiler's default
+/// strand clock (src/obs/thread_ctx.hpp). A WALL clock: a strand preempted
+/// mid-run is charged its preemption, so "work" equals CPU-ns only when
+/// workers are not oversubscribed (see RuntimeConfig::spanprof_precise).
+/// First use calibrates (20ms); Runtime's constructor forces that before
+/// any strand is timed.
+inline std::uint64_t ticks_to_ns(std::uint64_t ticks) noexcept {
+  return static_cast<std::uint64_t>(static_cast<double>(ticks) *
                                     detail::ns_per_tick());
 }
 

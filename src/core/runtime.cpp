@@ -6,6 +6,7 @@
 
 #include "core/idle_poller.hpp"
 #include "inject/inject.hpp"
+#include "obs/thread_ctx.hpp"
 
 namespace icilk {
 
@@ -89,10 +90,12 @@ Runtime::Runtime(const RuntimeConfig& cfg, std::unique_ptr<Scheduler> sched)
     wc.timeseries = timeseries_.get();
 #endif
     wc.sample_fn = [this](obs::WdSample& s) { wd_fill_sample(s); };
+#if ICILK_INJECT_ENABLED
     wc.inject_seed_fn = []() -> std::uint64_t {
       inject::Engine* e = inject::Engine::active();
       return e != nullptr ? e->config().seed : 0;
     };
+#endif
     watchdog_ = std::make_unique<obs::Watchdog>(wc);
     watchdog_->start();
   }
@@ -148,7 +151,9 @@ void Runtime::wd_fill_sample(obs::WdSample& s) const {
   for (int p = 0; p < s.num_levels; ++p) {
     s.census[p] = census_[p].value.load(std::memory_order_relaxed);
   }
+#if ICILK_WATCHDOG_ENABLED  // the census registry is the watchdog's
   obs::wd_census_fill(s, s.t_ns);
+#endif
   s.io_armed = metrics_.io_gauge(obs::IoGauge::kArmedOps);
   s.timers_pending = metrics_.io_gauge(obs::IoGauge::kTimersPending);
 }
@@ -160,17 +165,10 @@ void Runtime::wd_fill_sample(obs::WdSample& s) const {
 
 void Runtime::worker_main(Worker& w) {
   tls_worker = &w;
-  // Injected decisions on this worker land in its own trace ring.
-  inject::set_thread_trace_ring(w.trace);
-  // Request timelines stamp hops with the worker id and span records go
-  // into the worker's own ring.
-  obs::req_set_thread_where(w.id);
-  obs::req_set_thread_ring(w.trace);
-  // Sampling profiler: create this worker's (disarmed) SIGPROF timer and
-  // publish the initial attribution word.
-  obs::prof_register_thread(profiler(), obs::ProfThreadKind::kWorker, w.id);
-  obs::prof_enter_bucket(obs::ProfBucket::kSchedLoop,
-                         static_cast<int>(w.level));
+  // Request hops and injected decisions on this worker land in its own
+  // trace ring; the profiler gets a (disarmed) SIGPROF timer for it.
+  obs::ThreadScope scope(w.trace, obs::ProfThreadKind::kWorker, w.id,
+                         profiler());
   for (;;) {
     if (!w.next.valid()) {
       if (w.active) retire_active(w);
@@ -181,11 +179,6 @@ void Runtime::worker_main(Worker& w) {
     }
     run_next(w);
   }
-  obs::prof_set_context(0);
-  obs::prof_unregister_thread(profiler());
-  obs::req_set_thread_ring(nullptr);
-  obs::req_set_thread_where(obs::ReqHop::kNoWhere);
-  inject::set_thread_trace_ring(nullptr);
   tls_worker = nullptr;
 }
 
@@ -242,25 +235,16 @@ void Runtime::run_next(Worker& w) {
   }
 
   assert(tf->st.priority == w.level);
-  obs::req_hook_dispatch(tf->st.req, tf->st.req_owner);
-  // Profiler attribution hand-off (the fiber half of the ASan/TSan-style
-  // switch protocol): samples landing between these two stores belong to
-  // the task at its level, whatever the stack walk bottoms out in.
-  obs::prof_enter_task(
-      static_cast<int>(tf->st.priority),
-      tf->st.req != nullptr ? static_cast<std::uint16_t>(tf->st.req->id)
-                            : std::uint16_t{0});
-  obs::sp_dispatch(&tf->st.sp, cfg_.spanprof_enabled, cfg_.spanprof_precise);
   w.current = tf;
-  const std::uint64_t t0 = now_ticks();
+  // The dispatch bracket (obs/thread_ctx.hpp) binds this thread's context
+  // to the task for the switch; its tick readings time the work clock.
+  const std::uint64_t t0 = obs::strand_enter(
+      tf->st.req, tf->st.req_owner, static_cast<int>(tf->st.priority),
+      cfg_.spanprof_enabled ? &tf->st.sp : nullptr, cfg_.spanprof_precise);
   switch_context(w.sched_ctx, tf->fiber.context());
-  w.stats.work_ticks.add(now_ticks() - t0);
-  // Flush the strand BEFORE publish(): the parked fiber is not yet visible
-  // to thieves, so this write to its accumulators cannot race a resumer.
-  obs::sp_undispatch();
-  obs::prof_enter_bucket(obs::ProfBucket::kSchedLoop,
-                         static_cast<int>(w.level));
-  obs::req_hook_undispatch();
+  // Leave BEFORE publish(): the parked fiber is not yet visible to
+  // thieves, so the strand flush cannot race a resumer.
+  w.stats.work_ticks.add(obs::strand_leave(static_cast<int>(w.level)) - t0);
   w.current = nullptr;
   if (w.post_switch) {
     auto publish = std::move(w.post_switch);
@@ -294,31 +278,12 @@ void Runtime::finish_task(TaskFiber* tf) {
   obs::sp_strand_now();
 
 #if ICILK_REQTRACE_ENABLED
-  if (tf->st.req != nullptr) {
-    if (tf->st.req_owner) {
-      // Safety net: the root task ended without req_end (early return or
-      // exception path). Record the timeline rather than leak/lose it.
-      obs::ReqContext* rc = tf->st.req;
-      const std::uint64_t total = rc->close();
-      ICILK_TRACE_RECORD(w->trace, obs::EventKind::kReqEnd, tf->st.priority,
-                         static_cast<std::uint32_t>(rc->id));
-      metrics_.record_request(*rc, total);
-      obs::ts_note_request(timeseries(), tf->st.priority, total);
-#if ICILK_SPANPROF_ENABLED
-      if (const obs::SpanAcc& sp = tf->st.sp;
-          sp.depth > sp.req_depth0) {
-        metrics_.record_parallelism(tf->st.priority, rc->id,
-                                    sp.work - sp.req_work0,
-                                    sp.depth - sp.req_depth0,
-                                    sp.bdepth - sp.req_bdepth0);
-      }
-#endif
-      obs::ReqContext::destroy(rc);
-    }
-    tf->st.req = nullptr;
-    tf->st.req_owner = false;
-    obs::req_set_current(nullptr);
+  if (tf->st.req_owner) {
+    // Safety net: the root task ended without req_end (early return or
+    // exception path). Record the timeline rather than leak/lose it.
+    close_request(*w, tf->st, true);
   }
+  tf->st.req = nullptr;
 #endif
 
   // Thanks to the implicit sync, our own children are quiescent.
@@ -405,7 +370,11 @@ void Runtime::dispatch_woken(Worker& w, Ref<Deque> d) {
 }
 
 void Runtime::resumable(Ref<Deque> d) {
-  assert(d && d->state() == Deque::State::Resumable);
+  assert(d);
+  // A suspended deque with stealable entries stays in its pool, so a thief
+  // can mug it as soon as make_resumable returns. Then it runs again (and
+  // may even have suspended anew) and must not be published.
+  if (d->state() != Deque::State::Resumable) return;
   sched_->on_resumable(std::move(d));
 }
 
@@ -470,17 +439,22 @@ void Runtime::spawn_linked(Priority p, Closure body) {
 
   park_current([this, self, body = std::move(body), p]() mutable {
     Worker& w2 = *this_worker();
+    // Read st BEFORE push_bottom publishes our continuation: once it is
+    // visible a thief may resume it and flush further strands into
+    // self->st.sp, which the child must not inherit. The parent's clocks
+    // are current here — run_next flushed its strand right after the
+    // park's switch returned, before this publish ran.
+    obs::ReqContext* const req = self->st.req;
+    const std::uint64_t sp_d = self->st.sp.depth;
+    const std::uint64_t sp_bd = self->st.sp.bdepth + obs::sp_overhead_est();
     w2.active->push_bottom(self);
     sched_->on_push(w2);
     assert(!w2.next.valid());
     w2.next =
         Continuation::of_closure(std::move(body), &self->st.frame, nullptr, p);
-    w2.next.req = self->st.req;  // child serves the same request (non-owner)
-    // Child span base: the parent's clocks are current here — run_next
-    // flushed its strand right after the park's switch returned, before
-    // this publish ran.
-    w2.next.sp_depth = self->st.sp.depth;
-    w2.next.sp_bdepth = self->st.sp.bdepth + obs::sp_overhead_est();
+    w2.next.req = req;  // child serves the same request (non-owner)
+    w2.next.sp_depth = sp_d;
+    w2.next.sp_bdepth = sp_bd;
   });
   // Resumed: serially after the child finished, by a thief who stole our
   // continuation, or by a mug if the deque suspended below us.
@@ -523,9 +497,8 @@ void Runtime::fut_spawn(Priority p, Closure body, Ref<FutureStateBase> fut) {
         // Read st BEFORE push_bottom publishes our parked continuation: a
         // future routine holds no join unit on this frame, so once self is
         // visible a thief can resume it, run it to completion, and recycle
-        // the TaskFiber under us. (spawn_linked may read self->st after
-        // the push because its child's join unit keeps the parent alive
-        // until the child's decrement; futures have no such link.)
+        // the TaskFiber under us (spawn_linked reads first for the same
+        // reason).
         obs::ReqContext* const req = self->st.req;
         const std::uint64_t sp_d = self->st.sp.depth;
         const std::uint64_t sp_bd =
@@ -638,7 +611,7 @@ std::uint64_t Runtime::req_begin(std::uint64_t arrival_ns) {
             static_cast<std::uint16_t>(self->st.priority), arrival_ns);
   self->st.req = rc;
   self->st.req_owner = true;
-  obs::req_set_current(rc);
+  obs::thread_ctx().req = rc;
   ICILK_TRACE_RECORD(w->trace, obs::EventKind::kReqBegin, self->st.priority,
                      static_cast<std::uint32_t>(rc->id));
   rc->enter(obs::ReqPhase::kExecuting);
@@ -669,36 +642,40 @@ void Runtime::req_finish(bool record) {
   // Join spawned children first: they carry the context pointer for I/O
   // tagging and must not outlive it.
   sync_impl();
-  w = this_worker();  // the sync may have migrated us
-  obs::ReqContext* rc = self->st.req;
-  const std::uint64_t total = rc->close();
-  ICILK_TRACE_RECORD(w->trace, obs::EventKind::kReqEnd, self->st.priority,
-                     static_cast<std::uint32_t>(rc->id));
-  if (record) {
-    metrics_.record_request(*rc, total);
-    obs::ts_note_request(timeseries(), self->st.priority, total);
-#if ICILK_SPANPROF_ENABLED
-    // The sync above joined every child, so the fiber's accumulators hold
-    // the whole request DAG; deltas against the req_begin baselines are
-    // this request's work and span.
-    obs::sp_strand_now();
-    const obs::SpanAcc& sp = self->st.sp;
-    if (sp.depth > sp.req_depth0) {
-      metrics_.record_parallelism(self->st.priority, rc->id,
-                                  sp.work - sp.req_work0,
-                                  sp.depth - sp.req_depth0,
-                                  sp.bdepth - sp.req_bdepth0);
-    }
-#endif
-  }
-  self->st.req = nullptr;
-  self->st.req_owner = false;
-  obs::req_set_current(nullptr);
-  obs::ReqContext::destroy(rc);
+  close_request(*this_worker(), self->st, record);  // sync may migrate
 #else
   (void)record;
 #endif
 }
+
+#if ICILK_REQTRACE_ENABLED
+void Runtime::close_request(Worker& w, TaskState& st, bool record) {
+  obs::ReqContext* rc = st.req;
+  const std::uint64_t total = rc->close();
+  ICILK_TRACE_RECORD(w.trace, obs::EventKind::kReqEnd, st.priority,
+                     static_cast<std::uint32_t>(rc->id));
+  if (record) {
+    metrics_.record_request(*rc, total);
+    obs::ts_note_request(timeseries(), st.priority, total);
+#if ICILK_SPANPROF_ENABLED
+    // Every child has joined, so the fiber's accumulators hold the whole
+    // request DAG; deltas against the req_begin baselines are this
+    // request's work and span.
+    obs::sp_strand_now();
+    if (st.sp.depth > st.sp.req_depth0) {
+      metrics_.record_parallelism(st.priority, rc->id,
+                                  st.sp.work - st.sp.req_work0,
+                                  st.sp.depth - st.sp.req_depth0,
+                                  st.sp.bdepth - st.sp.req_bdepth0);
+    }
+#endif
+  }
+  st.req = nullptr;
+  st.req_owner = false;
+  obs::thread_ctx().req = nullptr;
+  obs::ReqContext::destroy(rc);
+}
+#endif  // ICILK_REQTRACE_ENABLED
 
 // ---------------------------------------------------------------------------
 // Futures: waiting and completion

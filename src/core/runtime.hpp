@@ -297,6 +297,9 @@ class Runtime {
                  Frame* parent, obs::ReqContext* req = nullptr,
                  std::uint64_t sp_depth = 0, std::uint64_t sp_bdepth = 0);
   void req_finish(bool record);
+  /// Closes the request `st` owns: timeline, metrics (when `record`),
+  /// per-request work/span, and the unbinding.
+  void close_request(Worker& w, TaskState& st, bool record);
   /// spawn/fut_create engine for task-context callers.
   void fut_spawn(Priority p, Closure body, Ref<FutureStateBase> fut);
   void spawn_linked(Priority p, Closure body);

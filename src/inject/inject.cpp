@@ -3,6 +3,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "obs/thread_ctx.hpp"
+
 namespace icilk::inject {
 
 namespace {
@@ -48,10 +50,6 @@ constexpr Menu kMenus[kPointCount] = {
     /*kResumePublish*/ {{Action::kDelay, Action::kYield}, 2},
     /*kPromptMask*/ {{Action::kForce}, 1},
 };
-
-#if ICILK_INJECT_ENABLED
-thread_local obs::TraceRing* tls_ring = nullptr;
-#endif
 
 /// Per-thread cache of (engine serial -> stream) so decide() takes no
 /// lock after a thread's first decision on an engine.
@@ -246,8 +244,9 @@ Outcome Engine::decide(Point p) noexcept {
       s.log.push_back({n, p, out.action, out.arg});
     }
 #if ICILK_INJECT_ENABLED
-    if (tls_ring != nullptr) {
-      tls_ring->record(
+    // Into the calling thread's trace ring (obs::ThreadScope binds it).
+    if (obs::TraceRing* ring = obs::thread_ctx().ring; ring != nullptr) {
+      ring->record(
           obs::EventKind::kInject, static_cast<std::uint16_t>(p),
           (static_cast<std::uint32_t>(out.action) << 24) |
               (out.arg & 0x00FFFFFFu));
@@ -304,10 +303,6 @@ void spin_delay(std::uint32_t iters) noexcept {
 #if ICILK_INJECT_ENABLED
 
 Outcome probe_active(Point p) noexcept { return Engine::probe_slow(p); }
-
-void set_thread_trace_ring(obs::TraceRing* ring) noexcept {
-  tls_ring = ring;
-}
 
 #endif  // ICILK_INJECT_ENABLED
 

@@ -41,8 +41,6 @@
 #include <mutex>
 #include <vector>
 
-#include "obs/trace.hpp"
-
 #if !defined(ICILK_INJECT_ENABLED)
 #define ICILK_INJECT_ENABLED 1
 #endif
@@ -246,17 +244,11 @@ inline Outcome probe(Point p) noexcept {
   return probe_active(p);
 }
 
-/// Registers the calling thread's obs trace ring as the destination for
-/// its injected-decision records (EventKind::kInject). Pass nullptr on
-/// thread exit. Workers and reactor I/O threads call this on startup.
-void set_thread_trace_ring(obs::TraceRing* ring) noexcept;
-
 #else  // ICILK_INJECT_ENABLED
 
 constexpr bool compiled_in() noexcept { return false; }
 constexpr bool armed() noexcept { return false; }
 constexpr Outcome probe(Point) noexcept { return {}; }
-inline void set_thread_trace_ring(obs::TraceRing*) noexcept {}
 
 #endif  // ICILK_INJECT_ENABLED
 

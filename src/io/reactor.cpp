@@ -4,6 +4,7 @@
 #include <limits.h>
 
 #include "inject/inject.hpp"
+#include "obs/thread_ctx.hpp"
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -597,15 +598,12 @@ void IoReactor::io_thread_main(int thread_idx) {
   // decisions on this thread are recorded into the same ring.
   obs::TraceRing* ring =
       &rt_.trace_sink().acquire_ring("io" + std::to_string(thread_idx));
-  inject::set_thread_trace_ring(ring);
   // Request timelines stamp I/O-thread hops as -1-idx; the make_resumable
   // a completion triggers emits its kReqPhase record into this ring.
-  obs::req_set_thread_where(-1 - thread_idx);
-  obs::req_set_thread_ring(ring);
   // Sampling profiler: CPU-time timers only tick while this thread runs,
   // so the wait bucket mostly measures epoll_wait's entry/exit cost.
-  obs::prof_register_thread(rt_.profiler(), obs::ProfThreadKind::kIo,
-                            thread_idx);
+  obs::ThreadScope scope(ring, obs::ProfThreadKind::kIo, thread_idx,
+                         rt_.profiler());
   while (!stop_.load(std::memory_order_acquire)) {
     if (worker_polling_.load(std::memory_order_seq_cst)) {
       // A worker holds the poller role: stand by off-epoll so the herd
@@ -629,11 +627,6 @@ void IoReactor::io_thread_main(int thread_idx) {
     }
     if (!poll_once(ring, /*for_worker=*/false)) break;
   }
-  obs::prof_set_context(0);
-  obs::prof_unregister_thread(rt_.profiler());
-  obs::req_set_thread_ring(nullptr);
-  obs::req_set_thread_where(obs::ReqHop::kNoWhere);
-  inject::set_thread_trace_ring(nullptr);
 }
 
 // ---------------------------------------------------------------------------

@@ -157,6 +157,7 @@ bool McClient::consume_response(Conn& c, Histogram& hist) {
   const Pending& p = c.pending[c.pending_head];
   std::string_view in(c.in);
   std::size_t pos = c.parse_pos;
+  bool ok = true;  // each reply counts once: as a sample or as an error
 
   if (p.is_get) {
     // Zero or more "VALUE <k> <f> <len>[ <cas>]\r\n<len bytes>\r\n", then
@@ -187,7 +188,7 @@ bool McClient::consume_response(Conn& c, Histogram& hist) {
         pos = need;
       } else {
         // ERROR line etc.: treat the line as the whole response.
-        ++errors_;
+        ok = false;
         pos = nl + 2;
         break;
       }
@@ -195,13 +196,18 @@ bool McClient::consume_response(Conn& c, Histogram& hist) {
   } else {
     const std::size_t nl = in.find("\r\n", pos);
     if (nl == std::string_view::npos) return false;
-    pos = nl + 2;  // STORED / NOT_STORED / SERVER_ERROR ...
+    ok = in.substr(pos, nl - pos) == "STORED";
+    pos = nl + 2;
   }
 
-  const std::uint64_t latency = now_ns() - p.arrival_ns;
-  hist.record(latency);
-  if (buckets_ != nullptr && p.arrival_ns >= epoch_) {
-    buckets_->record(p.arrival_ns - epoch_, latency);
+  if (ok) {
+    const std::uint64_t latency = now_ns() - p.arrival_ns;
+    hist.record(latency);
+    if (buckets_ != nullptr && p.arrival_ns >= epoch_) {
+      buckets_->record(p.arrival_ns - epoch_, latency);
+    }
+  } else {
+    ++errors_;
   }
   c.pending_head++;
   c.parse_pos = pos;

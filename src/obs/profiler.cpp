@@ -16,8 +16,10 @@
 #include <sstream>
 
 #include "concurrent/clock.hpp"
+#include "obs/flightrec.hpp"
 #include "obs/metrics.hpp"
 #include "obs/reqtrace.hpp"
+#include "obs/thread_ctx.hpp"
 
 namespace icilk::obs {
 
@@ -96,11 +98,6 @@ struct ProfThreadEntry {
 
 namespace {
 
-// TLS the handler reads on the interrupted thread. Trivially-initialized
-// types only (no TLS guards inside a signal handler).
-thread_local std::atomic<std::uint32_t> t_prof_ctx{0};
-thread_local ProfThreadEntry* t_prof_entry = nullptr;
-
 #if defined(__x86_64__)
 std::uintptr_t interrupted_pc(void* ucv) noexcept {
   return static_cast<std::uintptr_t>(
@@ -128,7 +125,7 @@ void capture_sample(ProfThreadEntry* e, ProfRing* r,
     return;
   }
   ProfSample& s = r->slots[i];
-  s.ctx = t_prof_ctx.load(std::memory_order_relaxed);
+  s.ctx = thread_ctx().prof_word.load(std::memory_order_relaxed);
   s.kind = static_cast<std::uint8_t>(e->kind);
   s.truncated = 0;
 
@@ -167,7 +164,7 @@ void capture_sample(ProfThreadEntry* e, ProfRing* r,
 }
 
 extern "C" void prof_sigprof_handler(int, siginfo_t*, void* ucv) {
-  ProfThreadEntry* e = t_prof_entry;
+  ProfThreadEntry* e = thread_ctx().prof_entry;
   if (e == nullptr) return;
   const int saved_errno = errno;
   e->in_handler.fetch_add(1, std::memory_order_seq_cst);
@@ -210,24 +207,6 @@ void disarm_timer(timer_t t) noexcept {
   ::timer_settime(t, 0, &its, nullptr);
 }
 
-std::string json_escape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (char c : in) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -263,7 +242,8 @@ Profiler::~Profiler() {
 
 void Profiler::register_current_thread(ProfThreadKind kind,
                                        int idx) noexcept {
-  if (t_prof_entry != nullptr) return;  // already registered
+  ThreadCtx& c = thread_ctx();
+  if (c.prof_entry != nullptr) return;  // already registered
   auto* e = new ProfThreadEntry();
   e->tid = sys_gettid();
   e->kind = kind;
@@ -286,7 +266,7 @@ void Profiler::register_current_thread(ProfThreadKind kind,
 
   std::lock_guard<std::mutex> lk(reg_mu_);
   threads_.push_back(e);
-  t_prof_entry = e;
+  c.prof_entry = e;
   // A window opened before this thread arrived still covers it (late
   // reactor threads, tests): arm into the open window.
   if (running_.load(std::memory_order_acquire)) {
@@ -300,7 +280,8 @@ void Profiler::register_current_thread(ProfThreadKind kind,
 }
 
 void Profiler::unregister_current_thread() noexcept {
-  ProfThreadEntry* e = t_prof_entry;
+  ThreadCtx& c = thread_ctx();
+  ProfThreadEntry* e = c.prof_entry;
   if (e == nullptr) return;
   std::lock_guard<std::mutex> lk(reg_mu_);
   if (e->timer_ok) {
@@ -308,11 +289,11 @@ void Profiler::unregister_current_thread() noexcept {
     e->timer_ok = false;
   }
   // Mid-window exit: hand the ring to stop() for draining but detach the
-  // TLS so any straggler SIGPROF already queued for this thread (signals
-  // can outlive timer_delete) finds a null entry and bails.
+  // context so any straggler SIGPROF already queued for this thread
+  // (signals can outlive timer_delete) finds a null entry and bails.
   e->ring.store(nullptr, std::memory_order_release);
   e->live.store(false, std::memory_order_release);
-  t_prof_entry = nullptr;
+  c.prof_entry = nullptr;
 }
 
 int Profiler::registered_threads() const noexcept {
@@ -501,7 +482,7 @@ ProfileReport Profiler::stop() {
 }
 
 bool Profiler::sample_now() noexcept {
-  ProfThreadEntry* e = t_prof_entry;
+  ProfThreadEntry* e = thread_ctx().prof_entry;
   if (e == nullptr) return false;
   // Mask SIGPROF around the manual capture so a timer firing mid-push
   // cannot interleave two writers on the same ring.
@@ -614,11 +595,23 @@ std::string prof_health_stats_text(const Profiler* p,
 #if ICILK_PROFILE_ENABLED
 
 std::uint32_t prof_context() noexcept {
-  return t_prof_ctx.load(std::memory_order_relaxed);
+  return thread_ctx().prof_word.load(std::memory_order_relaxed);
 }
 
-void prof_set_context(std::uint32_t w) noexcept {
-  t_prof_ctx.store(w, std::memory_order_relaxed);
+void prof_enter_bucket(ProfBucket b, int level) noexcept {
+  thread_ctx().prof_word.store(prof_pack(b, level),
+                               std::memory_order_relaxed);
+}
+
+ProfScope::ProfScope(ProfBucket b, int level) noexcept {
+  ThreadCtx& c = thread_ctx();
+  saved_ = c.prof_word.load(std::memory_order_relaxed);
+  c.prof_word.store(prof_pack(b, level), std::memory_order_relaxed);
+}
+
+// Re-resolves the context: the scope may close on another worker.
+ProfScope::~ProfScope() {
+  thread_ctx().prof_word.store(saved_, std::memory_order_relaxed);
 }
 
 void prof_register_thread(Profiler* p, ProfThreadKind kind,

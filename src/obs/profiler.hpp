@@ -9,17 +9,16 @@
 //     thread only in proportion to CPU it actually burns: the profiler is
 //     on-CPU-only by construction, idle workers cost nothing.
 //   * The handler captures a backtrace() plus a packed ATTRIBUTION WORD
-//     from TLS into a per-thread single-writer ring (drop-and-count when
-//     full — overload never blocks the handler). The word is maintained by
-//     the same save/restore choreography the ASan/TSan fiber protocol and
-//     reqtrace use around switch_context: the dispatch loop stamps
-//     task+priority before switching into a fiber and stamps a scheduler
+//     from the per-thread context (obs/thread_ctx.hpp) into a per-thread
+//     single-writer ring (drop-and-count when full — overload never
+//     blocks the handler). The dispatch bracket around switch_context
+//     stamps task+priority before switching into a fiber and a scheduler
 //     bucket after it switches back, so a sample landing mid-fiber
 //     attributes to the task even though the stack walk bottoms out at the
 //     fiber's InitialFrame (terminator = nullptr, thunk zeroes %rbp).
 //   * Scheduler-overhead buckets (steal, sleep/wake, pre_op_check,
-//     reactor wait/drain) come from one relaxed TLS store at each
-//     transition — the only hot-path cost, and it compiles out entirely.
+//     reactor wait/drain) come from one relaxed store at each transition
+//     — the only hot-path cost, and it compiles out entirely.
 //   * Off-CPU time is NOT sampled (SIGPROF cannot fire on a parked
 //     fiber); it is synthesized from the reqtrace per-level phase
 //     accumulators (queueing / runnable / suspended_io / suspended_sync
@@ -48,7 +47,7 @@
 //     bench/micro_profiler). The Profiler class itself stays compiled
 //     (endpoints and tests reference it) but the runtime never
 //     instantiates one.
-//   * Compiled in but idle (no window open): hooks are one relaxed TLS
+//   * Compiled in but idle (no window open): hooks are one relaxed
 //     store per scheduler transition; timers exist but are disarmed.
 //   * Window open: ~hz signals/second of CPU time per busy thread, each
 //     one backtrace (a few microseconds). 99Hz costs <2% of fig1 p99
@@ -99,7 +98,7 @@ inline constexpr int kProfBucketCount = static_cast<int>(ProfBucket::kCount);
 /// Stable lowercase name for export ("task", "steal", ...).
 const char* prof_bucket_name(ProfBucket b) noexcept;
 
-/// Packs (bucket, level, tag) into the TLS attribution word. `tag` is
+/// Packs (bucket, level, tag) into the attribution word. `tag` is
 /// free-form per-bucket detail (kTask: low 16 bits of the request id).
 constexpr std::uint32_t prof_pack(ProfBucket b, int level,
                                   std::uint16_t tag = 0) noexcept {
@@ -269,31 +268,21 @@ std::string prof_health_stats_text(const Profiler* p,
                                    const std::string& prefix,
                                    const std::string& eol);
 
-// ---------------------------------------------------------------------------
-// Hot-path hooks (dispatch loop, schedulers, reactor). One relaxed TLS
-// store each; nothing when compiled out.
-// ---------------------------------------------------------------------------
+// Hot-path hooks (schedulers, reactor): one relaxed store per transition
+// into the per-thread context (obs/thread_ctx.hpp), whose dispatch bracket
+// publishes the task word. Nothing when compiled out.
 
 #if ICILK_PROFILE_ENABLED
 
-/// The calling thread's attribution word (handler reads it; tests assert
-/// on it). Plain TLS atomic: single-thread writer, same-thread signal
-/// reader.
+/// The calling thread's attribution word (the handler reads it; tests
+/// assert on it).
 std::uint32_t prof_context() noexcept;
-void prof_set_context(std::uint32_t w) noexcept;
 
-/// Dispatch point: the thread is about to run (or just resumed) task code
-/// at `level`. Mirrors req_hook_dispatch's position around switch_context.
-inline void prof_enter_task(int level, std::uint16_t tag) noexcept {
-  prof_set_context(prof_pack(ProfBucket::kTask, level, tag));
-}
 /// Scheduler/reactor overhead transition.
-inline void prof_enter_bucket(ProfBucket b, int level = 0) noexcept {
-  prof_set_context(prof_pack(b, level));
-}
+void prof_enter_bucket(ProfBucket b, int level = 0) noexcept;
 
-/// Thread registration (worker_main / io_thread_main prologue). Null `p`
-/// (profiler disabled at runtime) is a no-op.
+/// Thread registration (obs::ThreadScope). Null `p` (profiler disabled at
+/// runtime) is a no-op.
 void prof_register_thread(Profiler* p, ProfThreadKind kind, int idx) noexcept;
 void prof_unregister_thread(Profiler* p) noexcept;
 
@@ -302,36 +291,28 @@ void prof_unregister_thread(Profiler* p) noexcept;
 /// task's word — correct even if the check abandons and the fiber resumes
 /// on a different worker, because the restored word describes the task,
 /// not the thread.
-class ProfScope {
- public:
-  ProfScope(ProfBucket b, int level) noexcept : saved_(prof_context()) {
-    prof_enter_bucket(b, level);
-  }
-  ~ProfScope() noexcept { prof_set_context(saved_); }
-  ProfScope(const ProfScope&) = delete;
-  ProfScope& operator=(const ProfScope&) = delete;
-
- private:
-  std::uint32_t saved_;
-};
-
 #else  // !ICILK_PROFILE_ENABLED
 
 inline std::uint32_t prof_context() noexcept { return 0; }
-inline void prof_set_context(std::uint32_t) noexcept {}
-inline void prof_enter_task(int, std::uint16_t) noexcept {}
 inline void prof_enter_bucket(ProfBucket, int = 0) noexcept {}
 inline void prof_register_thread(Profiler*, ProfThreadKind, int) noexcept {}
 inline void prof_unregister_thread(Profiler*) noexcept {}
 
+#endif  // ICILK_PROFILE_ENABLED
+
 class ProfScope {
  public:
+#if ICILK_PROFILE_ENABLED
+  ProfScope(ProfBucket b, int level) noexcept;
+  ~ProfScope();
+#else
   ProfScope(ProfBucket, int) noexcept {}
-  ~ProfScope() noexcept {}
+#endif
   ProfScope(const ProfScope&) = delete;
   ProfScope& operator=(const ProfScope&) = delete;
-};
 
-#endif  // ICILK_PROFILE_ENABLED
+ private:
+  std::uint32_t saved_ = 0;
+};
 
 }  // namespace icilk::obs

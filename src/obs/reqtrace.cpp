@@ -1,5 +1,7 @@
 #include "obs/reqtrace.hpp"
 
+#include "obs/thread_ctx.hpp"
+
 namespace icilk::obs {
 
 const char* req_phase_name(ReqPhase p) noexcept {
@@ -21,19 +23,8 @@ const char* req_phase_name(ReqPhase p) noexcept {
 }
 
 #if ICILK_REQTRACE_ENABLED
-namespace {
-thread_local ReqContext* tls_req = nullptr;
-thread_local int tls_where = ReqHop::kNoWhere;
-thread_local TraceRing* tls_ring = nullptr;
-}  // namespace
-
-ReqContext* req_current() noexcept { return tls_req; }
-void req_set_current(ReqContext* rc) noexcept { tls_req = rc; }
-int req_thread_where() noexcept { return tls_where; }
-void req_set_thread_where(int where) noexcept { tls_where = where; }
-TraceRing* req_thread_ring() noexcept { return tls_ring; }
-void req_set_thread_ring(TraceRing* ring) noexcept { tls_ring = ring; }
-#endif  // ICILK_REQTRACE_ENABLED
+ReqContext* req_current() noexcept { return thread_ctx().req; }
+#endif
 
 void ReqContext::start(std::uint64_t rid, std::uint16_t prio,
                        std::uint64_t arrival_ns) noexcept {
@@ -47,18 +38,18 @@ void ReqContext::start(std::uint64_t rid, std::uint16_t prio,
   phase_ = ReqPhase::kQueueing;
   io_hint_ = false;
   phase_start_ns_ = begin_ns;
-  log_hop(begin_ns, ReqPhase::kQueueing);
+  log_hop(begin_ns, ReqPhase::kQueueing, thread_ctx().where);
 }
 
 void ReqContext::enter(ReqPhase p) noexcept {
-  const int where = req_thread_where();
+  ThreadCtx& c = thread_ctx();
   if (p == phase_) {
     // Same phase: only a cross-thread migration (steal of an executing
     // chain, cross-thread wake) is worth a hop; accumulators are
     // untouched — the phase simply continues.
-    if (nhops != 0 && hops[nhops - 1].where == where) return;
-    log_hop(now_ns(), p);
-    ICILK_TRACE_RECORD(req_thread_ring(), EventKind::kReqPhase,
+    if (nhops != 0 && hops[nhops - 1].where == c.where) return;
+    log_hop(now_ns(), p, c.where);
+    ICILK_TRACE_RECORD(c.ring, EventKind::kReqPhase,
                        static_cast<std::uint16_t>(p),
                        static_cast<std::uint32_t>(id));
     return;
@@ -68,8 +59,8 @@ void ReqContext::enter(ReqPhase p) noexcept {
       now > phase_start_ns_ ? now - phase_start_ns_ : 0;
   phase_ = p;
   phase_start_ns_ = now;
-  log_hop(now, p);
-  ICILK_TRACE_RECORD(req_thread_ring(), EventKind::kReqPhase,
+  log_hop(now, p, c.where);
+  ICILK_TRACE_RECORD(c.ring, EventKind::kReqPhase,
                      static_cast<std::uint16_t>(p),
                      static_cast<std::uint32_t>(id));
 }
@@ -83,7 +74,7 @@ std::uint64_t ReqContext::close() noexcept {
   return now > begin_ns ? now - begin_ns : 0;
 }
 
-void ReqContext::log_hop(std::uint64_t t, ReqPhase p) noexcept {
+void ReqContext::log_hop(std::uint64_t t, ReqPhase p, int where) noexcept {
   if (nhops >= kMaxHops) {
     ++hops_dropped;
     return;
@@ -91,7 +82,6 @@ void ReqContext::log_hop(std::uint64_t t, ReqPhase p) noexcept {
   ReqHop& h = hops[nhops++];
   h.t_ns = t;
   h.phase = p;
-  const int where = req_thread_where();
   h.where = (where >= INT16_MIN && where <= INT16_MAX)
                 ? static_cast<std::int16_t>(where)
                 : ReqHop::kNoWhere;

@@ -31,9 +31,10 @@
 // the root not finished yet".
 //
 // Compile-out: -DICILK_REQTRACE=OFF defines ICILK_REQTRACE_ENABLED=0 and
-// every req_hook_* below inlines to nothing; the ReqContext class itself
-// stays compiled (tests and the micro bench drive it directly), but no
-// hot-path object references it (scripts/soak.sh reqoff verifies).
+// every req_hook_* below (and the dispatch bracket's request half)
+// inlines to nothing; the ReqContext class itself stays compiled (tests
+// and the micro bench drive it directly), but no hot-path object
+// references it (scripts/soak.sh reqoff verifies).
 #pragma once
 
 #include <cstddef>
@@ -140,46 +141,21 @@ class ReqContext {
  private:
   using Pool = ObjectPool<ReqContext>;
 
-  void log_hop(std::uint64_t t, ReqPhase p) noexcept;
+  void log_hop(std::uint64_t t, ReqPhase p, int where) noexcept;
 
   ReqPhase phase_ = ReqPhase::kQueueing;
   bool io_hint_ = false;
   std::uint64_t phase_start_ns_ = 0;
 };
 
-// ---------------------------------------------------------------------------
-// Thread-local binding: which request is the calling thread serving, where
-// is it, and which trace ring takes its span records. Workers and reactor
-// I/O threads register at thread start; the dispatch loop re-binds the
-// current request around every fiber switch (the "TLS save/restore").
-// ---------------------------------------------------------------------------
+// Hot-path hooks (deque / reactor call sites). The thread's binding lives
+// in the per-thread context (obs/thread_ctx.hpp).
 
 #if ICILK_REQTRACE_ENABLED
 
 /// The request context bound to the fiber currently running on this
 /// thread, or nullptr (scheduler context, external threads).
 ReqContext* req_current() noexcept;
-void req_set_current(ReqContext* rc) noexcept;
-
-/// Location stamp for timeline hops: worker id (>= 0) or -1-idx for I/O
-/// thread idx. ReqHop::kNoWhere when unregistered.
-int req_thread_where() noexcept;
-void req_set_thread_where(int where) noexcept;
-
-/// Ring that receives this thread's kReqBegin/kReqPhase/kReqEnd records
-/// (workers: their ring; I/O threads: theirs). May be null.
-TraceRing* req_thread_ring() noexcept;
-void req_set_thread_ring(TraceRing* ring) noexcept;
-
-// ---- hot-path hooks (deque / dispatch / reactor call sites) ----
-
-/// Dispatch point: the owner chain starts (or resumes) executing.
-inline void req_hook_dispatch(ReqContext* rc, bool owner) noexcept {
-  if (rc != nullptr && owner) rc->enter(ReqPhase::kExecuting);
-  req_set_current(rc);
-}
-/// Dispatch epilogue: the fiber switched away; unbind the thread.
-inline void req_hook_undispatch() noexcept { req_set_current(nullptr); }
 
 /// Deque suspension: I/O wait if the reactor hinted, sync wait otherwise.
 inline void req_hook_suspend(ReqContext* rc, bool owner) noexcept {
@@ -206,13 +182,6 @@ inline std::uint64_t req_hook_io_arm() noexcept {
 #else  // !ICILK_REQTRACE_ENABLED
 
 inline ReqContext* req_current() noexcept { return nullptr; }
-inline void req_set_current(ReqContext*) noexcept {}
-inline int req_thread_where() noexcept { return ReqHop::kNoWhere; }
-inline void req_set_thread_where(int) noexcept {}
-inline TraceRing* req_thread_ring() noexcept { return nullptr; }
-inline void req_set_thread_ring(TraceRing*) noexcept {}
-inline void req_hook_dispatch(ReqContext*, bool) noexcept {}
-inline void req_hook_undispatch() noexcept {}
 inline void req_hook_suspend(ReqContext*, bool) noexcept {}
 inline void req_hook_runnable(ReqContext*, bool) noexcept {}
 inline std::uint64_t req_hook_io_arm() noexcept { return 0; }

@@ -26,21 +26,15 @@
 // once), and req_begin/req_end (per-request deltas against baselines so a
 // long-lived connection fiber reports per-request numbers).
 //
-// Strand timing uses a per-OS-thread {acc, start} pair set at dispatch and
-// flushed when control returns to the scheduler loop — the same TLS
-// save/restore discipline as reqtrace ids. Every accessor below is
-// out-of-line on purpose: callers must re-resolve the TLS at each event
-// (never cache across a park; the fiber may resume on another thread).
-// The strand clock is selectable per runtime (sp_dispatch's `precise`,
-// wired to RuntimeConfig::spanprof_precise): the default is
-// now_strand_ns() — invariant-TSC wall ns, ~7ns per read — because
-// CLOCK_THREAD_CPUTIME_ID is a ~200ns syscall whose per-event cost
-// queueing-amplifies into ~25% end-to-end latency overhead on a saturated
-// minicached (bench/micro_spanprof). The TSC clock charges a preempted
-// strand its preemption wall time, so "work" equals CPU-ns only when
-// workers are not oversubscribed; precise=true selects the thread-CPU
-// clock for hosts where that matters more than the overhead (the
-// closed-form validation tests run in that mode).
+// Strand timing lives in the per-thread context (obs/thread_ctx.hpp): the
+// dispatch bracket arms it before a fiber runs and flushes it when control
+// returns; structural events flush through sp_strand_now (out of line, so
+// the context is re-resolved at each event, never cached across a park).
+// The default clock is the invariant TSC; RuntimeConfig::spanprof_precise
+// selects CLOCK_THREAD_CPUTIME_ID, a ~200ns syscall that is immune to
+// preemption (the closed-form validation tests use it) but whose
+// per-event cost queueing-amplified into ~25% end-to-end latency on a
+// saturated minicached (bench/micro_spanprof).
 //
 // Average parallelism = work/span. Per-request results aggregate into
 // MetricsRegistry (per-priority histograms + a worst-K LOWEST-parallelism
@@ -82,21 +76,6 @@ struct SpanAcc {
 
 #if ICILK_SPANPROF_ENABLED
 
-/// Arms the strand clock for `acc` on this OS thread (called by the worker
-/// loop right before switching into the fiber). nullptr or enabled=false
-/// disarms: every later hook on this thread no-ops until the next dispatch.
-/// `precise` selects the clock for every read until the next dispatch:
-/// false = now_strand_ns (TSC wall, ~7ns — the production default), true =
-/// now_cpu_ns (thread-CPU syscall, ~200ns — preemption-immune, for
-/// oversubscribed hosts and the closed-form validation tests; see
-/// RuntimeConfig::spanprof_precise).
-void sp_dispatch(SpanAcc* acc, bool enabled, bool precise) noexcept;
-
-/// Flushes the in-flight strand segment into the armed acc and disarms
-/// (called when the switch back to the scheduler context returns — before
-/// the parked fiber is published, so the flush never races its thief).
-void sp_undispatch() noexcept;
-
 /// Flushes the in-flight strand segment and restarts the clock; returns
 /// the armed acc (nullptr when disarmed). All structural-event hooks go
 /// through this so acc->depth is exact at the event point.
@@ -114,8 +93,6 @@ std::uint64_t sp_overhead_est() noexcept;
 
 #else  // !ICILK_SPANPROF_ENABLED — every hook folds to nothing.
 
-inline void sp_dispatch(SpanAcc*, bool, bool) noexcept {}
-inline void sp_undispatch() noexcept {}
 inline SpanAcc* sp_strand_now() noexcept { return nullptr; }
 inline void sp_note_overhead(std::uint64_t) noexcept {}
 inline std::uint64_t sp_overhead_est() noexcept { return 0; }

@@ -10,6 +10,8 @@
 #include <thread>
 #include <vector>
 
+#include "obs/thread_ctx.hpp"
+
 namespace icilk::inject {
 namespace {
 
@@ -212,17 +214,18 @@ TEST(InjectEngine, InjectedDecisionsLandInTraceRing) {
   }
   std::atomic<bool> enabled{true};
   obs::TraceRing ring(1 << 10, &enabled, "inject-test", 0);
-  set_thread_trace_ring(&ring);
   Config cfg;
   cfg.seed = 21;
   cfg.set_rate(Point::kMug, 1000000);
   cfg.set_force(Point::kMug, Action::kDelay);
   cfg.max_delay_spins = 8;
   Engine e(cfg);
-  e.install();
-  for (int i = 0; i < 50; ++i) probe(Point::kMug);
-  e.uninstall();
-  set_thread_trace_ring(nullptr);
+  {
+    obs::ThreadScope scope(&ring, obs::ProfThreadKind::kOther, 0, nullptr);
+    e.install();
+    for (int i = 0; i < 50; ++i) probe(Point::kMug);
+    e.uninstall();
+  }
 
   const auto events = ring.snapshot();
   std::size_t injects = 0;

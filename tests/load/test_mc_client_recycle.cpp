@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,17 +25,21 @@ namespace icilk::load {
 namespace {
 
 // A hostile memcached impostor: answers the preload's `version` barrier so
-// McClient::setup() succeeds, then KILLS any connection that sends a
-// `get` — every run-phase request dies mid-flight.
-class ConnKillerServer {
+// McClient::setup() succeeds, then either KILLS any connection that sends
+// a `get` (every run-phase request dies mid-flight) or answers every
+// run-phase request with an error line: `ERROR` for a get, `NOT_STORED`
+// for a set.
+class ImpostorServer {
  public:
-  ConnKillerServer() {
+  enum class Mode { kKillOnGet, kErrorReplies };
+
+  explicit ImpostorServer(Mode mode) : mode_(mode) {
     lfd_ = net::listen_tcp(0);
     EXPECT_GE(lfd_, 0);
     port_ = static_cast<std::uint16_t>(net::local_port(lfd_));
     th_ = std::thread([this] { loop(); });
   }
-  ~ConnKillerServer() {
+  ~ImpostorServer() {
     stop_.store(true);
     th_.join();
     for (const auto& c : conns_) ::close(c.fd);
@@ -81,6 +86,10 @@ class ConnKillerServer {
   }
 
   void service(Conn& c) {
+    if (mode_ == Mode::kErrorReplies) {
+      answer_errors(c);
+      return;
+    }
     if (c.in.find("get ") != std::string::npos) {
       // Run-phase request: die mid-flight, never answering.
       kills_.fetch_add(1);
@@ -95,11 +104,39 @@ class ConnKillerServer {
     }
   }
 
+  // Consumes every complete request in c.in; preload sets are noreply and
+  // stay unanswered.
+  void answer_errors(Conn& c) {
+    for (;;) {
+      const std::size_t nl = c.in.find("\r\n");
+      if (nl == std::string::npos) return;
+      const std::string line = c.in.substr(0, nl);
+      std::size_t used = nl + 2;
+      std::string reply;
+      if (line.rfind("get ", 0) == 0) {
+        reply = "ERROR\r\n";
+      } else if (line.rfind("set ", 0) == 0) {
+        std::istringstream is(line);
+        std::string verb, key, flags, exptime, noreply;
+        std::size_t len = 0;
+        is >> verb >> key >> flags >> exptime >> len >> noreply;
+        if (c.in.size() < used + len + 2) return;  // body not here yet
+        used += len + 2;
+        if (noreply.empty()) reply = "NOT_STORED\r\n";
+      } else if (line == "version") {
+        reply = "VERSION impostor\r\n";
+      }
+      c.in.erase(0, used);
+      if (!reply.empty()) (void)!::write(c.fd, reply.data(), reply.size());
+    }
+  }
+
   void close_at(std::size_t i) {
     ::close(conns_[i].fd);
     conns_.erase(conns_.begin() + static_cast<std::ptrdiff_t>(i));
   }
 
+  const Mode mode_;
   int lfd_;
   std::uint16_t port_;
   std::thread th_;
@@ -109,7 +146,7 @@ class ConnKillerServer {
 };
 
 TEST(McClientRecycle, MidFlightKillsAreCountedNotStalled) {
-  ConnKillerServer server;
+  ImpostorServer server(ImpostorServer::Mode::kKillOnGet);
 
   McClient::Config cfg;
   cfg.port = server.port();
@@ -145,7 +182,7 @@ TEST(McClientRecycle, NoFailuresMeansNoReconnects) {
   // The impostor only kills on `get`; an all-set workload survives, though
   // sets get no replies — so expect errors via EOF only at teardown.
   // Instead just exercise setup + zero arrivals: nothing to recycle.
-  ConnKillerServer server;
+  ImpostorServer server(ImpostorServer::Mode::kKillOnGet);
   McClient::Config cfg;
   cfg.port = server.port();
   cfg.connections = 2;
@@ -157,6 +194,32 @@ TEST(McClientRecycle, NoFailuresMeansNoReconnects) {
   EXPECT_EQ(client.run({}, hist, 1.0), 0u);
   EXPECT_EQ(client.reconnects(), 0u);
   EXPECT_EQ(client.errors(), 0u);
+}
+
+// Each reply counts once: an error line in answer to a GET and a SET that
+// was not stored are errors, never also (or instead) latency samples, so
+// hist.count() + errors() equals the requests fired.
+TEST(McClientRecycle, ErrorRepliesCountOnceAsErrors) {
+  ImpostorServer server(ImpostorServer::Mode::kErrorReplies);
+  McClient::Config cfg;
+  cfg.port = server.port();
+  cfg.connections = 2;
+  cfg.keyspace = 16;
+  cfg.get_fraction = 0.5;  // both reply kinds
+  cfg.seed = 73;
+  McClient client(cfg);
+  ASSERT_TRUE(client.setup());
+
+  constexpr std::size_t kRequests = 100;
+  std::vector<std::uint64_t> arrivals;
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    arrivals.push_back(i * 100000);  // 10k rps, 10ms of schedule
+  }
+  Histogram hist;
+  EXPECT_EQ(client.run(arrivals, hist, /*drain=*/10.0), 0u);
+  EXPECT_EQ(hist.count(), 0u);
+  EXPECT_EQ(client.errors(), kRequests);
+  EXPECT_EQ(client.reconnects(), 0u);
 }
 
 }  // namespace

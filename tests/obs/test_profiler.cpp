@@ -489,7 +489,6 @@ TEST(ProfCompiledOut, RuntimeHasNoProfilerWhenOff) {
   auto rt = make_rt(1);
   EXPECT_EQ(rt->profiler(), nullptr);
   // Hooks are no-ops but callable.
-  prof_enter_task(1, 2);
   prof_enter_bucket(ProfBucket::kSteal, 0);
   EXPECT_EQ(prof_context(), 0u);
   rt->submit(0, [] {}).get();

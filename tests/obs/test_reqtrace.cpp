@@ -162,8 +162,6 @@ TEST(ReqHooks, NullAndNonOwnerAreNoOps) {
   // (spawned children of a request) without touching the context.
   req_hook_suspend(nullptr, true);
   req_hook_runnable(nullptr, true);
-  req_hook_dispatch(nullptr, false);
-  req_hook_undispatch();
 
   ReqContext* rc = ReqContext::create();
   rc->start(3, 0, 0);
@@ -174,7 +172,6 @@ TEST(ReqHooks, NullAndNonOwnerAreNoOps) {
   EXPECT_EQ(rc->nhops, hops);
   rc->close();
   ReqContext::destroy(rc);
-  req_set_current(nullptr);
 }
 
 }  // namespace
