@@ -75,7 +75,7 @@ if [ -x "$BURST" ]; then
 else
   echo "== fig_burst missing; recording null =="
 fi
-# Time-series hook + on/off overhead (optional).
+# Time-series on/off overhead (optional).
 if [ -x "$TSMICRO" ]; then
   echo "== micro_timeseries =="
   "$TSMICRO" | tee "$tsmicro_out"
@@ -118,6 +118,17 @@ micro_json() {
   }' "$1"
 }
 
+# Repository size stamped next to the perf rows: lines in the tracked
+# files under each path (scripts/bench_diff.py shows them lower-is-better
+# and never gates on them). null outside a git checkout.
+tracked_lines() {
+  if git -C "$REPO_ROOT" rev-parse --git-dir >/dev/null 2>&1; then
+    git -C "$REPO_ROOT" ls-files -z -- "$@" |
+      (cd "$REPO_ROOT" && xargs -0 cat) | wc -l
+  else
+    echo null
+  fi
+}
 GIT_SHA=$(git -C "$REPO_ROOT" rev-parse --short HEAD 2>/dev/null || echo unknown)
 
 # Build-flag provenance from the build dir's CMake cache: a baseline from
@@ -141,6 +152,8 @@ rows_or_null() { # rows_or_null <file> <json-fn>
   echo "  \"date\": \"$(date -u +%Y-%m-%dT%H:%M:%SZ)\","
   echo "  \"git_sha\": \"$GIT_SHA\","
   echo "  \"host_cores\": $(nproc),"
+  echo "  \"src_lines\": $(tracked_lines src),"
+  echo "  \"scripts_lines\": $(tracked_lines scripts),"
   # The scheduler spec the capture ran under (benches honor
   # ICILK_SCHEDULER); bench_diff.py refuses to diff captures whose
   # scheduler stamps differ.
@@ -151,7 +164,6 @@ rows_or_null() { # rows_or_null <file> <json-fn>
   echo "    \"ICILK_REQTRACE\": $(cache_flag ICILK_REQTRACE),"
   echo "    \"ICILK_WATCHDOG\": $(cache_flag ICILK_WATCHDOG),"
   echo "    \"ICILK_PROFILE\": $(cache_flag ICILK_PROFILE),"
-  echo "    \"ICILK_TIMESERIES\": $(cache_flag ICILK_TIMESERIES),"
   echo "    \"ICILK_SPANPROF\": $(cache_flag ICILK_SPANPROF),"
   echo "    \"ICILK_SANITIZE\": $(sed -n 's/^ICILK_SANITIZE:STRING=\(.*\)$/"\1"/p' "$BUILD_DIR/CMakeCache.txt" 2>/dev/null | grep . || echo null)"
   echo "  },"

@@ -7,7 +7,9 @@ load-point fields that NAME a configuration rather than measure one
 (rps, threads). Every other shared numeric field gets a delta; fields
 where lower-is-better (latency / ns_per_op / allocs / errors) count as
 REGRESSIONS when they worsen past the threshold, throughput fields
-(ops_per_s, completed, *_hit_rate) when they DROP past it.
+(ops_per_s, completed, *_hit_rate) when they DROP past it. The
+repository size stamps (src_lines, scripts_lines) are shown
+lower-is-better but never counted as regressions.
 
 Usage: bench_diff.py OLD.json NEW.json [--threshold PCT]
        bench_diff.py --history [DIR] [--threshold PCT]
@@ -43,7 +45,7 @@ LOWER_IS_BETTER = ("p99_ms", "p95_ms", "p99_min_ms", "p99_med_ms",
                    # single epoch, and seconds back to the pre-burst p99.
                    "pre_p99_ms", "burst_p99_ms", "worst_epoch_p99_ms",
                    "recovery_s",
-                   # micro_timeseries on-vs-off hook cost.
+                   # micro_timeseries on-vs-off overhead.
                    "overhead_pct", "mean_us", "err")
 # Measured fields where a HIGHER value is better.
 HIGHER_IS_BETTER = ("ops_per_s", "completed", "op_pool_hit_rate",
@@ -111,6 +113,21 @@ def diff_section(name, old_rows, new_rows, threshold, out):
     return regressions
 
 
+# Repository size, stamped by run_baseline.sh: reported lower-is-better so
+# the size trajectory sits beside the perf rows, but never gated on.
+SIZE_FIELDS = ("src_lines", "scripts_lines")
+
+
+def diff_size(old_doc, new_doc, out):
+    for field in SIZE_FIELDS:
+        a, b = old_doc.get(field), new_doc.get(field)
+        if not (is_number(a) and is_number(b)) or a == b:
+            continue
+        delta = (b - a) / a * 100.0 if a else float("inf")
+        out.append(f"  [size] {field}: {a:g} -> {b:g} ({delta:+.1f}%, "
+                   f"lower is better, not gated)")
+
+
 def load_doc(path):
     try:
         with open(path, encoding="utf-8") as f:
@@ -175,6 +192,7 @@ def run_history(directory, threshold):
                 continue
             step += diff_section(section, old_rows, new_rows, threshold,
                                  lines)
+        diff_size(old_doc, new_doc, lines)
         for line in lines:
             print(line)
         if step:
@@ -252,6 +270,7 @@ def main():
             continue
         regressions += diff_section(section, old_rows, new_rows,
                                     args.threshold, lines)
+    diff_size(old_doc, new_doc, lines)
     for line in lines:
         print(line)
 

@@ -34,12 +34,6 @@
 #             micro_profiler's hook loops cost the same as its plain
 #             baseline loop, and
 #             (c) `ctest -L obs` still passes (attribution cases skip).
-#   tsoff     build with ICILK_TIMESERIES=OFF and prove the time-series
-#             compile-out: (a) the hot-path objects carry no TimeSeries
-#             references (the ts_note_request hook must fold away), (b)
-#             micro_timeseries' hook loops cost the same as its plain
-#             baseline loop, and (c) `ctest -L obs` still passes (the
-#             class stays compiled; enablement cases skip).
 #   spoff     build with ICILK_SPANPROF=OFF and prove the work/span
 #             profiler compile-out: (a) the hot-path objects carry no
 #             spanprof symbols (the dispatch bracket's strand clock,
@@ -52,7 +46,7 @@
 # (shared with the CI off-matrix job) and, when build/ holds a default
 # build, also proves each pattern matches something there.
 #
-# Usage: scripts/soak.sh [tsan|asan|offcheck|attribution|reqoff|wdoff|profoff|tsoff|spoff|all] \
+# Usage: scripts/soak.sh [tsan|asan|offcheck|attribution|reqoff|wdoff|profoff|spoff|all] \
 #                        [soak-duration-s] [seed]
 set -uo pipefail
 
@@ -300,49 +294,6 @@ run_profoff_phase() {
   fi
 }
 
-run_tsoff_phase() {
-  local dir="$REPO_ROOT/build-soak-tsoff"
-  note "tsoff: building (ICILK_TIMESERIES=OFF)"
-  if ! build "$dir" -DICILK_TIMESERIES=OFF; then
-    fail "tsoff build"
-    return
-  fi
-
-  # (a) No time-series machinery in the hot-path objects: the TimeSeries
-  # class ("...10TimeSeries" mangled) must be absent.
-  hook_check tsoff "$dir" TIMESERIES
-
-  # (b) The hook folded to nothing: both hook loops in micro_timeseries
-  # (null pointer and live object) must cost the same as the plain
-  # baseline loop (<1.5x; the live record is ~5-10x on this loop when
-  # compiled in).
-  note "tsoff: micro_timeseries hooks == baseline"
-  local out base nullv live
-  out="$("$dir/bench/micro_timeseries" hooks 2>/dev/null)"
-  echo "$out"
-  base="$(echo "$out" | awk '/mode=base / { for (i=1;i<=NF;i++) if ($i ~ /^ns_per_op=/) { sub("ns_per_op=","",$i); print $i } }')"
-  nullv="$(echo "$out" | awk '/mode=hook_null / { for (i=1;i<=NF;i++) if ($i ~ /^ns_per_op=/) { sub("ns_per_op=","",$i); print $i } }')"
-  live="$(echo "$out" | awk '/mode=hook_live / { for (i=1;i<=NF;i++) if ($i ~ /^ns_per_op=/) { sub("ns_per_op=","",$i); print $i } }')"
-  if [ -z "$base" ] || [ -z "$nullv" ] || [ -z "$live" ]; then
-    fail "tsoff: could not parse micro_timeseries output"
-  else
-    if ! awk -v b="$base" -v p="$nullv" 'BEGIN { exit !(p <= b * 1.5) }'; then
-      fail "tsoff: null-hook loop ${nullv}ns vs baseline ${base}ns (>1.5x)"
-    fi
-    if ! awk -v b="$base" -v p="$live" 'BEGIN { exit !(p <= b * 1.5) }'; then
-      fail "tsoff: live-hook loop ${live}ns vs baseline ${base}ns (>1.5x)"
-    fi
-  fi
-
-  # (c) The OFF build still passes the observability tests (ring/digest
-  # mechanics run against the always-compiled class; runtime enablement
-  # cases skip).
-  note "tsoff: ctest -L obs (OFF build)"
-  if ! (cd "$dir" && ctest -L obs --output-on-failure -j 2); then
-    fail "tsoff ctest -L obs"
-  fi
-}
-
 run_spoff_phase() {
   local dir="$REPO_ROOT/build-soak-spoff"
   note "spoff: building (ICILK_SPANPROF=OFF)"
@@ -396,7 +347,6 @@ case "$PHASE" in
   reqoff) run_reqoff_phase ;;
   wdoff) run_wdoff_phase ;;
   profoff) run_profoff_phase ;;
-  tsoff) run_tsoff_phase ;;
   spoff) run_spoff_phase ;;
   all)
     run_sanitizer_phase tsan thread
@@ -406,11 +356,10 @@ case "$PHASE" in
     run_reqoff_phase
     run_wdoff_phase
     run_profoff_phase
-    run_tsoff_phase
     run_spoff_phase
     ;;
   *)
-    echo "usage: scripts/soak.sh [tsan|asan|offcheck|attribution|reqoff|wdoff|profoff|tsoff|spoff|all] [duration-s] [seed]" >&2
+    echo "usage: scripts/soak.sh [tsan|asan|offcheck|attribution|reqoff|wdoff|profoff|spoff|all] [duration-s] [seed]" >&2
     exit 2
     ;;
 esac

@@ -152,8 +152,6 @@ void ICilkMcServer::connection_routine(int fd) {
             if (const obs::TimeSeries* ts = rt_->timeseries()) {
               out += ts->stats_text("icilk_", "\r\n");
             } else {
-              out += std::string("STAT icilk_ts_compiled_in ") +
-                     (obs::timeseries_compiled_in() ? '1' : '0') + "\r\n";
               out += "STAT icilk_ts_running 0\r\n";
             }
           } else if (req.keys.size() > 1 && req.keys[1] == "health") {

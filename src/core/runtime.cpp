@@ -1,6 +1,7 @@
 #include "core/runtime.hpp"
 
 #include <cassert>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 
@@ -64,7 +65,6 @@ Runtime::Runtime(const RuntimeConfig& cfg, std::unique_ptr<Scheduler> sched)
     threads_.emplace_back([this, i] { worker_main(*workers_[i]); });
   }
   sched_->start();
-#if ICILK_TIMESERIES_ENABLED
   if (cfg_.timeseries_enabled) {
     // Before the watchdog, so trip bundles can embed the epoch ring.
     obs::TimeSeries::Config tc;
@@ -72,11 +72,8 @@ Runtime::Runtime(const RuntimeConfig& cfg, std::unique_ptr<Scheduler> sched)
     tc.epochs = cfg_.timeseries_epochs;
     tc.metrics = &metrics_;
     tc.scheduler = sched_->name();
-    tc.sample_fn = [this](obs::WdSample& s) { wd_fill_sample(s); };
     timeseries_ = std::make_unique<obs::TimeSeries>(tc);
-    timeseries_->start();
   }
-#endif
 #if ICILK_WATCHDOG_ENABLED
   if (cfg_.watchdog_enabled) {
     obs::Watchdog::Config wc;
@@ -86,10 +83,7 @@ Runtime::Runtime(const RuntimeConfig& cfg, std::unique_ptr<Scheduler> sched)
     wc.handle_sigusr2 = cfg_.watchdog_sigusr2;
     wc.metrics = &metrics_;
     wc.trace = &trace_;
-#if ICILK_TIMESERIES_ENABLED
     wc.timeseries = timeseries_.get();
-#endif
-    wc.sample_fn = [this](obs::WdSample& s) { wd_fill_sample(s); };
 #if ICILK_INJECT_ENABLED
     wc.inject_seed_fn = []() -> std::uint64_t {
       inject::Engine* e = inject::Engine::active();
@@ -97,9 +91,11 @@ Runtime::Runtime(const RuntimeConfig& cfg, std::unique_ptr<Scheduler> sched)
     };
 #endif
     watchdog_ = std::make_unique<obs::Watchdog>(wc);
-    watchdog_->start();
   }
 #endif
+  if (watchdog() != nullptr || timeseries_ != nullptr) {
+    sampler_ = std::thread([this] { sampler_main(); });
+  }
 }
 
 Runtime::~Runtime() {
@@ -112,22 +108,45 @@ void Runtime::shutdown() {
   if (!shutdown_.compare_exchange_strong(expected, true)) {
     // Already shut down; just make sure threads are joined.
   }
-#if ICILK_WATCHDOG_ENABLED
-  // Stop the sampler FIRST: its sample_fn walks workers_ and the
+  // Stop the sampler FIRST: wd_fill_sample walks workers_ and the
   // scheduler, so it must quiesce before either starts tearing down.
-  if (watchdog_) watchdog_->stop();
-#endif
-#if ICILK_TIMESERIES_ENABLED
-  // Same ordering rule: the ticker's sample_fn is wd_fill_sample too.
-  if (timeseries_) timeseries_->stop();
-#endif
+  {
+    std::lock_guard<std::mutex> lk(sampler_mu_);
+    sampler_stop_ = true;
+  }
+  sampler_cv_.notify_all();
+  if (sampler_.joinable()) sampler_.join();
   sched_->stop();
   for (auto& t : threads_) {
     if (t.joinable()) t.join();
   }
 }
 
-#if ICILK_WATCHDOG_ENABLED || ICILK_TIMESERIES_ENABLED
+void Runtime::sampler_main() {
+  // One sample per tick feeds both consumers: the watchdog every tick,
+  // the timeseries whenever its epoch deadline has passed. Waiting a full
+  // period after each tick (not to a fixed grid) makes a late wake delay
+  // every later sample alike, which keeps the promptness detector (clocked
+  // from the first sample that sees a level) from falling behind the aging
+  // detector (clocked from the deque's own stamp) on the same stuck deque.
+  const auto period = std::chrono::milliseconds(
+      watchdog() != nullptr ? watchdog()->config().period_ms
+                            : timeseries_->config().epoch_ms);
+  std::unique_lock<std::mutex> lk(sampler_mu_);
+  while (!sampler_stop_) {
+    lk.unlock();
+    obs::WdSample s;
+    s.t_ns = now_ns();
+    wd_fill_sample(s);
+#if ICILK_WATCHDOG_ENABLED
+    if (watchdog_) watchdog_->sample_once(s);
+#endif
+    if (timeseries_ && timeseries_->due(s.t_ns)) timeseries_->close_epoch(s);
+    lk.lock();
+    sampler_cv_.wait_for(lk, period, [this] { return sampler_stop_; });
+  }
+}
+
 void Runtime::wd_fill_sample(obs::WdSample& s) const {
   s.num_levels = cfg_.num_levels < obs::WdSample::kMaxLevels
                      ? cfg_.num_levels
@@ -157,7 +176,6 @@ void Runtime::wd_fill_sample(obs::WdSample& s) const {
   s.io_armed = metrics_.io_gauge(obs::IoGauge::kArmedOps);
   s.timers_pending = metrics_.io_gauge(obs::IoGauge::kTimersPending);
 }
-#endif  // ICILK_WATCHDOG_ENABLED || ICILK_TIMESERIES_ENABLED
 
 // ---------------------------------------------------------------------------
 // Worker loop
@@ -656,7 +674,6 @@ void Runtime::close_request(Worker& w, TaskState& st, bool record) {
                      static_cast<std::uint32_t>(rc->id));
   if (record) {
     metrics_.record_request(*rc, total);
-    obs::ts_note_request(timeseries(), st.priority, total);
 #if ICILK_SPANPROF_ENABLED
     // Every child has joined, so the fiber's accumulators hold the whole
     // request DAG; deltas against the req_begin baselines are this

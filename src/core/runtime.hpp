@@ -175,18 +175,11 @@ class Runtime {
 
   /// The windowed time-series telemetry ring (epoch-sliced latency
   /// digests + counter deltas; src/obs/timeseries.hpp). Non-null only
-  /// when cfg.timeseries_enabled and built ICILK_TIMESERIES=ON, so
-  /// callers must null-check. Defined in both build modes so app/server
-  /// code that surfaces the ring compiles unconditionally.
-#if ICILK_TIMESERIES_ENABLED
+  /// when cfg.timeseries_enabled, so callers must null-check.
   obs::TimeSeries* timeseries() noexcept { return timeseries_.get(); }
   const obs::TimeSeries* timeseries() const noexcept {
     return timeseries_.get();
   }
-#else
-  obs::TimeSeries* timeseries() noexcept { return nullptr; }
-  const obs::TimeSeries* timeseries() const noexcept { return nullptr; }
-#endif
 
   /// The sampling profiler (src/obs/profiler.hpp). Always constructed
   /// when built ICILK_PROFILE=ON (it is cold until a window opens);
@@ -307,13 +300,13 @@ class Runtime {
   TaskFiber* alloc_task_fiber();
   void recycle(TaskFiber* tf);
 
-#if ICILK_WATCHDOG_ENABLED || ICILK_TIMESERIES_ENABLED
-  /// The watchdog's (and epoch ticker's) sample_fn: scheduler wd_fill +
-  /// worker state words + census gauges + cumulative task count +
-  /// deque-census registry + io gauges. Runs on the sampler/ticker
-  /// thread; approximate/atomic reads only.
+  /// The obs sampler thread, running while the watchdog or the
+  /// timeseries is on: each tick fills one WdSample and hands it to both.
+  void sampler_main();
+  /// Fills one sample: scheduler wd_fill + worker state words + census
+  /// gauges + cumulative task count + deque-census registry + io gauges.
+  /// Runs on the sampler thread; approximate/atomic reads only.
   void wd_fill_sample(obs::WdSample& s) const;
-#endif
 
   template <typename T, typename F>
   static Closure wrap_value(Ref<FutureState<T>> st, F&& fn) {
@@ -334,9 +327,11 @@ class Runtime {
 #if ICILK_WATCHDOG_ENABLED
   std::unique_ptr<obs::Watchdog> watchdog_;
 #endif
-#if ICILK_TIMESERIES_ENABLED
   std::unique_ptr<obs::TimeSeries> timeseries_;
-#endif
+  std::thread sampler_;
+  std::mutex sampler_mu_;
+  std::condition_variable sampler_cv_;
+  bool sampler_stop_ = false;  ///< guarded by sampler_mu_
 #if ICILK_PROFILE_ENABLED
   std::unique_ptr<obs::Profiler> profiler_;
 #endif

@@ -70,11 +70,12 @@ struct RuntimeConfig {
   bool trace_events = false;
   /// Capacity (events, rounded up to a power of two) of each trace ring.
   std::size_t trace_ring_capacity = std::size_t{1} << 15;
-  /// Run the watchdog/flight-recorder sampler thread (src/obs/watchdog.hpp):
-  /// periodic scheduler-state snapshots, invariant detectors, and post-mortem
-  /// bundle dumps. No-op when built ICILK_WATCHDOG=OFF.
+  /// Run the watchdog/flight recorder (src/obs/watchdog.hpp) on the obs
+  /// sampler thread: periodic scheduler-state snapshots, invariant
+  /// detectors, and post-mortem bundle dumps. No-op when built
+  /// ICILK_WATCHDOG=OFF.
   bool watchdog_enabled = false;
-  /// Watchdog sampling period.
+  /// Watchdog sampling period; also the sampler's tick while it is on.
   int watchdog_period_ms = 10;
   /// Directory flight-recorder bundles are written into.
   std::string watchdog_bundle_dir = ".";
@@ -89,12 +90,14 @@ struct RuntimeConfig {
   /// or bench --profile-out), so this costs nothing at rest.
   int profiler_hz = 99;
 
-  /// Run the windowed time-series epoch ticker (src/obs/timeseries.hpp):
-  /// one background thread closing an epoch every timeseries_epoch_ms,
-  /// digesting per-priority request latency + scheduler counter deltas
-  /// into a ring of timeseries_epochs windows (`/timeseries`,
-  /// `stats icilk timeseries`, flight bundles). Off by default; servers
-  /// opt in. No effect when built ICILK_TIMESERIES=OFF.
+  /// Keep the windowed time-series ring (src/obs/timeseries.hpp): the obs
+  /// sampler closes an epoch every timeseries_epoch_ms, digesting
+  /// per-priority request latency + scheduler counter deltas into a ring
+  /// of timeseries_epochs windows (`/timeseries`, `stats icilk
+  /// timeseries`, flight bundles). With the watchdog on, the sampler
+  /// ticks at watchdog_period_ms and an epoch closes on the first sample
+  /// at or after its deadline; each epoch's duration_ns records the real
+  /// width. Off by default; servers opt in.
   bool timeseries_enabled = false;
   int timeseries_epoch_ms = 1000;
   int timeseries_epochs = 120;

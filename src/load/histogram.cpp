@@ -43,6 +43,39 @@ void Histogram::reset() {
   max_.store(0, std::memory_order_relaxed);
 }
 
+std::vector<std::uint64_t> Histogram::bucket_counts() const {
+  std::vector<std::uint64_t> out(kBuckets);
+  for (int i = 0; i < kBuckets; ++i) {
+    out[i] = counts_[i].load(std::memory_order_relaxed);
+  }
+  return out;
+}
+
+std::uint64_t Histogram::percentile_of(
+    const std::vector<std::uint64_t>& counts, double q) {
+  std::uint64_t n = 0;
+  for (const std::uint64_t c : counts) n += c;
+  if (n == 0) return 0;
+  if (q < 0) q = 0;
+  if (q > 1) q = 1;
+  const std::uint64_t rank =
+      static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(n)));
+  std::uint64_t seen = 0;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    seen += counts[i];
+    if (seen >= rank && seen > 0) return upper_edge(static_cast<int>(i));
+  }
+  return 0;
+}
+
+std::uint64_t Histogram::max_edge_of(
+    const std::vector<std::uint64_t>& counts) {
+  for (std::size_t i = counts.size(); i-- > 0;) {
+    if (counts[i] != 0) return upper_edge(static_cast<int>(i));
+  }
+  return 0;
+}
+
 std::string format_ns(double ns) {
   char buf[48];
   if (ns < 1e3) {

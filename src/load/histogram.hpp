@@ -72,6 +72,18 @@ class Histogram {
   /// "p50=1.2ms p95=3.4ms p99=7.8ms" style one-liner for bench output.
   std::string summary() const;
 
+  // Windowed digests over a cumulative histogram: snapshot the buckets,
+  // difference two snapshots bucket by bucket, and read the difference
+  // with the same rank rule and bucket edges as percentile_ns.
+
+  /// Copy of the per-bucket counts (kBuckets entries).
+  std::vector<std::uint64_t> bucket_counts() const;
+  /// percentile_ns over a bucket-count vector (0 when it is empty).
+  static std::uint64_t percentile_of(const std::vector<std::uint64_t>& counts,
+                                     double q);
+  /// Upper edge of the highest non-empty bucket of `counts` (0 if none).
+  static std::uint64_t max_edge_of(const std::vector<std::uint64_t>& counts);
+
  private:
   static int index_of(std::uint64_t v) noexcept {
     if (v < kSub) return static_cast<int>(v);

@@ -222,11 +222,9 @@ std::string MetricsHttpServer::respond(const char* req, std::size_t len) {
         if (n < 0) n = 0;
         body = ts->json(static_cast<std::size_t>(n));
       } else {
-        // No ticker running (cfg.timeseries_enabled off, or built
-        // ICILK_TIMESERIES=OFF): still answer, so scrapers don't 404.
-        body = std::string("{\"timeseries\":1,\"compiled_in\":") +
-               (obs::timeseries_compiled_in() ? "true" : "false") +
-               ",\"scheduler\":\"" +
+        // cfg.timeseries_enabled off: still answer, so scrapers don't
+        // 404.
+        body = std::string("{\"timeseries\":1,\"scheduler\":\"") +
                obs::json_escape(rt_.scheduler().name()) +
                "\",\"epoch_ms\":0,\"capacity\":0,\"epochs_closed\":0," +
                "\"epochs\":[]}\n";

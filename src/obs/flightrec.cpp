@@ -41,7 +41,6 @@ std::string build_flags_string() {
 #endif
   flag("watchdog", ICILK_WATCHDOG_ENABLED != 0);
   flag("profile", ICILK_PROFILE_ENABLED != 0);
-  flag("timeseries", ICILK_TIMESERIES_ENABLED != 0);
   flag("spanprof", ICILK_SPANPROF_ENABLED != 0);
 #if defined(__SANITIZE_THREAD__)
   out += " sanitize=thread";

@@ -1,11 +1,11 @@
 #include "obs/timeseries.hpp"
 
-#include <chrono>
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 
-#include "concurrent/spinlock.hpp"  // cpu_relax
-#include "obs/flightrec.hpp"        // json_escape
+#include "load/histogram.hpp"
+#include "obs/flightrec.hpp"  // json_escape
 #include "obs/metrics.hpp"
 
 namespace icilk::obs {
@@ -37,167 +37,101 @@ TimeSeries::TimeSeries(Config cfg) : cfg_(std::move(cfg)) {
   if (cfg_.epochs < 1) cfg_.epochs = 1;
   ring_.resize(static_cast<std::size_t>(cfg_.epochs));
   epoch_open_ns_ = now_ns();
-  if (cfg_.metrics != nullptr) {
-    // Baseline the delta memory so the first epoch reports only activity
-    // since construction, not since process start.
-    for (EventKind k : kDeltaKinds) {
-      prev_counts_[static_cast<int>(k)] = cfg_.metrics->counter_total(k);
-    }
-    prev_sp_reqs_ = cfg_.metrics->sp_total_requests();
-    prev_sp_work_ = cfg_.metrics->sp_total_work_ns();
-    prev_sp_span_ = cfg_.metrics->sp_total_span_ns();
-  }
+  next_due_ns_ = epoch_open_ns_ + epoch_ns();
+  // Baseline the delta memory so the first epoch reports only activity
+  // since construction, not since process start.
+  TsEpoch discard;
+  digest_latency(discard);
+  digest_counters(discard);
 }
 
-TimeSeries::~TimeSeries() {
-  stop();
-  for (Slot& s : slots_) {
-    for (auto& h : s.lv) {
-      delete h.load(std::memory_order_acquire);
-    }
-  }
+std::uint64_t TimeSeries::epoch_ns() const noexcept {
+  return static_cast<std::uint64_t>(cfg_.epoch_ms) * 1000000ull;
 }
 
-void TimeSeries::start() {
-  std::lock_guard<std::mutex> lk(life_mu_);
-  if (running_.load(std::memory_order_acquire)) return;
-  stop_.store(false, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> rl(mu_);
-    epoch_open_ns_ = now_ns();
-  }
-  thread_ = std::thread([this] { loop(); });
-  running_.store(true, std::memory_order_release);
-}
-
-void TimeSeries::stop() {
-  std::lock_guard<std::mutex> lk(life_mu_);
-  if (!running_.load(std::memory_order_acquire)) return;
-  {
-    std::lock_guard<std::mutex> sl(stop_mu_);
-    stop_.store(true, std::memory_order_release);
-  }
-  stop_cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-  running_.store(false, std::memory_order_release);
-}
-
-void TimeSeries::loop() {
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lk(stop_mu_);
-      stop_cv_.wait_for(lk, std::chrono::milliseconds(cfg_.epoch_ms), [this] {
-        return stop_.load(std::memory_order_acquire);
-      });
-    }
-    if (stop_.load(std::memory_order_acquire)) return;
-    tick_once();
-  }
-}
-
-load::Histogram* TimeSeries::slot_hist(Slot& s, int level) noexcept {
-  load::Histogram* h = s.lv[level].load(std::memory_order_acquire);
-  if (h != nullptr) return h;
-  auto* fresh = new load::Histogram();
-  load::Histogram* expected = nullptr;
-  if (s.lv[level].compare_exchange_strong(expected, fresh,
-                                          std::memory_order_acq_rel)) {
-    return fresh;
-  }
-  delete fresh;  // lost the race; use the winner
-  return expected;
-}
-
-void TimeSeries::record(int level, std::uint64_t latency_ns) noexcept {
-  if (level < 0 || level >= TsEpoch::kMaxLevels) return;
-  // Slot entry protocol: announce in-flight, then re-check that the slot
-  // was not retired by a concurrent flip. A recorder that loses the race
-  // retries on the new active slot; the ticker waits for in-flight == 0
-  // before digesting, so no sample is ever wiped by the reset pass.
-  for (;;) {
-    const std::uint32_t idx = active_.load(std::memory_order_acquire);
-    Slot& s = slots_[idx & 1];
-    s.inflight.fetch_add(1, std::memory_order_acquire);
-    if (active_.load(std::memory_order_acquire) == idx) {
-      slot_hist(s, level)->record(latency_ns);
-      s.inflight.fetch_sub(1, std::memory_order_release);
-      return;
-    }
-    s.inflight.fetch_sub(1, std::memory_order_release);
-  }
-}
-
-void TimeSeries::tick_once() {
+bool TimeSeries::due(std::uint64_t t_ns) const {
   std::lock_guard<std::mutex> lk(mu_);
-  const std::uint32_t old = active_.load(std::memory_order_relaxed);
-  active_.store(old ^ 1, std::memory_order_release);
-  Slot& s = slots_[old & 1];
-  // Quiesce: stragglers that entered the retired slot before the flip
-  // finish their (nanosecond-scale) record; late arrivals re-check the
-  // flip and move to the new slot.
-  while (s.inflight.load(std::memory_order_acquire) != 0) {
-    cpu_relax();
-  }
-  const std::uint64_t now = now_ns();
+  return t_ns >= next_due_ns_;
+}
+
+void TimeSeries::close_epoch(const WdSample& s) {
+  std::lock_guard<std::mutex> lk(mu_);
+  const std::uint64_t now = s.t_ns != 0 ? s.t_ns : now_ns();
 
   TsEpoch e;
   e.seq = epochs_closed_.load(std::memory_order_relaxed);
   e.t_ns = now;
   e.duration_ns = now > epoch_open_ns_ ? now - epoch_open_ns_ : 0;
-  digest_into(e, s, now, epoch_open_ns_);
-  epoch_open_ns_ = now;
+  digest_latency(e);
+  digest_counters(e);
+  e.bitfield = s.bitfield;
+  e.num_levels = s.num_levels;
+  for (int p = 0; p < TsEpoch::kMaxLevels && p < WdSample::kMaxLevels; ++p) {
+    e.pool_depth[p] = s.pool_depth[p];
+    e.mug_depth[p] = s.mug_depth[p];
+  }
+  e.sleepers = s.sleepers;
+  e.io_armed = s.io_armed;
+  e.timers_pending = s.timers_pending;
 
+  epoch_open_ns_ = now;
+  // The deadline stays on its grid; windows the sampler slept through
+  // are skipped rather than closed empty.
+  while (next_due_ns_ <= now) next_due_ns_ += epoch_ns();
   ring_[ring_next_] = e;
   ring_next_ = (ring_next_ + 1) % ring_.size();
   if (ring_size_ < ring_.size()) ++ring_size_;
   epochs_closed_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void TimeSeries::digest_into(TsEpoch& e, Slot& s, std::uint64_t /*now*/,
-                             std::uint64_t /*open_ns*/) {
+void TimeSeries::digest_latency(TsEpoch& e) {
+  if (cfg_.metrics == nullptr) return;
   for (int p = 0; p < TsEpoch::kMaxLevels; ++p) {
-    load::Histogram* h = s.lv[p].load(std::memory_order_acquire);
-    if (h == nullptr) continue;
-    const std::uint64_t n = h->count();
-    if (n != 0) {
-      e.lat[p].count = n;
-      e.lat[p].p50_ns = h->percentile_ns(0.50);
-      e.lat[p].p99_ns = h->percentile_ns(0.99);
-      e.lat[p].max_ns = h->max_ns();
+    const MetricsRegistry::ReqLevelStats* st = cfg_.metrics->req_level(p);
+    if (st == nullptr) continue;
+    std::vector<std::uint64_t> cur = st->total_ns.bucket_counts();
+    // Read after the buckets: a racing record can only raise it, and the
+    // min below then falls back to the bucket edge.
+    const std::uint64_t cum_max = st->total_ns.max_ns();
+    std::vector<std::uint64_t> delta = cur;
+    std::vector<std::uint64_t>& prev = prev_lat_[p];
+    for (std::size_t i = 0; i < prev.size(); ++i) {
+      if (delta[i] < prev[i]) {
+        // The registry was reset(): this snapshot is the new baseline.
+        delta.assign(delta.size(), 0);
+        break;
+      }
+      delta[i] -= prev[i];
     }
-    h->reset();
+    prev = std::move(cur);
+    std::uint64_t n = 0;
+    for (const std::uint64_t c : delta) n += c;
+    if (n == 0) continue;
+    auto& l = e.lat[p];
+    l.count = n;
+    l.p50_ns = load::Histogram::percentile_of(delta, 0.50);
+    l.p99_ns = load::Histogram::percentile_of(delta, 0.99);
+    l.max_ns = std::min(load::Histogram::max_edge_of(delta), cum_max);
   }
-  if (cfg_.metrics != nullptr) {
-    for (EventKind k : kDeltaKinds) {
-      const std::uint64_t cur = cfg_.metrics->counter_total(k);
-      std::uint64_t& prev = prev_counts_[static_cast<int>(k)];
-      assign_delta(e, k, cur >= prev ? cur - prev : 0);
-      prev = cur;
-    }
-    const std::uint64_t reqs = cfg_.metrics->sp_total_requests();
-    const std::uint64_t work = cfg_.metrics->sp_total_work_ns();
-    const std::uint64_t span = cfg_.metrics->sp_total_span_ns();
-    e.sp_reqs = reqs >= prev_sp_reqs_ ? reqs - prev_sp_reqs_ : 0;
-    e.sp_work_ns = work >= prev_sp_work_ ? work - prev_sp_work_ : 0;
-    e.sp_span_ns = span >= prev_sp_span_ ? span - prev_sp_span_ : 0;
-    prev_sp_reqs_ = reqs;
-    prev_sp_work_ = work;
-    prev_sp_span_ = span;
+}
+
+void TimeSeries::digest_counters(TsEpoch& e) {
+  if (cfg_.metrics == nullptr) return;
+  for (EventKind k : kDeltaKinds) {
+    const std::uint64_t cur = cfg_.metrics->counter_total(k);
+    std::uint64_t& prev = prev_counts_[static_cast<int>(k)];
+    assign_delta(e, k, cur >= prev ? cur - prev : 0);
+    prev = cur;
   }
-  if (cfg_.sample_fn) {
-    WdSample ws;
-    ws.t_ns = e.t_ns;  // fillers compute census ages relative to this
-    cfg_.sample_fn(ws);
-    e.bitfield = ws.bitfield;
-    e.num_levels = ws.num_levels;
-    for (int p = 0; p < TsEpoch::kMaxLevels && p < WdSample::kMaxLevels; ++p) {
-      e.pool_depth[p] = ws.pool_depth[p];
-      e.mug_depth[p] = ws.mug_depth[p];
-    }
-    e.sleepers = ws.sleepers;
-    e.io_armed = ws.io_armed;
-    e.timers_pending = ws.timers_pending;
-  }
+  const std::uint64_t reqs = cfg_.metrics->sp_total_requests();
+  const std::uint64_t work = cfg_.metrics->sp_total_work_ns();
+  const std::uint64_t span = cfg_.metrics->sp_total_span_ns();
+  e.sp_reqs = reqs >= prev_sp_reqs_ ? reqs - prev_sp_reqs_ : 0;
+  e.sp_work_ns = work >= prev_sp_work_ ? work - prev_sp_work_ : 0;
+  e.sp_span_ns = span >= prev_sp_span_ ? span - prev_sp_span_ : 0;
+  prev_sp_reqs_ = reqs;
+  prev_sp_work_ = work;
+  prev_sp_span_ = span;
 }
 
 std::vector<TsEpoch> TimeSeries::epochs() const {
@@ -266,7 +200,6 @@ std::string TimeSeries::json(std::size_t max_epochs) const {
   }
   std::ostringstream os;
   os << "{\"timeseries\":1";
-  os << ",\"compiled_in\":" << (timeseries_compiled_in() ? "true" : "false");
   os << ",\"scheduler\":\"" << json_escape(cfg_.scheduler) << '"';
   os << ",\"epoch_ms\":" << cfg_.epoch_ms;
   os << ",\"capacity\":" << cfg_.epochs;
@@ -291,7 +224,6 @@ std::string TimeSeries::stats_text(const std::string& prefix,
     out += buf;
     out += eol;
   };
-  stat("compiled_in", timeseries_compiled_in() ? 1 : 0);
   stat("epoch_ms", cfg_.epoch_ms);
   stat("epochs_closed", static_cast<long long>(epochs_closed()));
   stat("last_duration_us", static_cast<long long>(e.duration_ns / 1000));

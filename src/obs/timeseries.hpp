@@ -4,73 +4,49 @@
 // Every other observability surface (MetricsRegistry, /metrics, /latency,
 // flight bundles) reports cumulative-since-start aggregates, which average
 // a burst away: a 30s run with a 5s burst in the middle shows one blended
-// p99. This module adds the time axis. A background ticker closes an
-// epoch (default 1s) by
+// p99. This module adds the time axis. close_epoch() ends a window
+// (default 1s) by
 //
-//   * digesting the per-priority request-latency histograms that
-//     accumulated during the window (p50/p99/max + completion count —
-//     i.e. per-level throughput),
-//   * snapshotting DELTAS of the MetricsRegistry scheduler counters
-//     (steals / mugs / abandons / resumes / I/O submits+completes) against
-//     the previous epoch's totals, and
-//   * pulling instantaneous scheduler gauges (active-level bitfield,
+//   * differencing the registry's cumulative per-priority request-latency
+//     histograms (ReqLevelStats::total_ns) bucket by bucket against the
+//     snapshot taken at the previous close, and digesting the difference
+//     (p50/p99/max + completion count — i.e. per-level throughput),
+//   * taking DELTAS of the MetricsRegistry scheduler counters (steals /
+//     mugs / abandons / resumes / I/O submits+completes) the same way, and
+//   * copying the instantaneous scheduler gauges (active-level bitfield,
 //     per-level pool + mugging depth, sleepers, reactor armed ops and
-//     pending timers) through the same sample callback the watchdog uses,
+//     pending timers) out of the caller's WdSample,
 //
 // then pushes the digest into a ring of the last N epochs. The ring is
 // exposed as JSON (`/timeseries` on the metrics endpoint), as a
 // `stats icilk timeseries` STAT group, and embedded in watchdog flight
 // bundles so a trip carries the preceding seconds of windowed history.
 //
-// Hot-path cost model (mirrors watchdog / reqtrace):
-//   * ICILK_TIMESERIES=OFF (-DICILK_TIMESERIES_ENABLED=0): the
-//     ts_note_request hook below inlines to nothing and the runtime never
-//     instantiates a TimeSeries; no hot-path object references a
-//     timeseries symbol (scripts/soak.sh tsoff proves it with nm, plus
-//     probe==baseline in bench/micro_timeseries). The class itself stays
-//     compiled — tests and tools drive it with synthetic samples.
-//   * Compiled in + enabled: per COMPLETED request (never the spawn/steal
-//     fast path), two loads of the active-slot index, an in-flight
-//     inc/dec pair guarding the slot, and one lock-free Histogram record
-//     (the same log-linear buckets as src/load/histogram.hpp). The ticker
-//     itself is a background thread doing one digest pass per epoch.
+// The runtime's one obs sampler thread (Runtime::sampler_main) fills a
+// WdSample each tick, hands it to the watchdog, and calls close_epoch
+// with the same sample once due() says the epoch deadline has passed.
+// Nothing here runs on the request path: completions are recorded once,
+// into the registry, and an epoch's count telescopes across closes, so
+// every recorded request lands in exactly one epoch.
 //
-// Epoch slicing uses two slot arrays of per-level histograms: recorders
-// index slots_[active_]; the ticker flips active_ and digests the now
-// inactive slot. Recorders hold a per-slot in-flight count around the
-// histogram record (increment, re-check the flip, record, decrement) and
-// the ticker waits for the retired slot to quiesce before digesting, so
-// a sample that races the flip lands in either the closing epoch or the
-// next one (a one-epoch attribution blur) but is NEVER lost — the
-// record-vs-tick test asserts exact conservation.
+// max_ns is min(upper edge of the highest non-empty delta bucket, the
+// cumulative max): exact whenever the epoch holds the running maximum,
+// otherwise within one bucket width (<= ~1.6%) above the epoch's true max.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "concurrent/clock.hpp"
-#include "load/histogram.hpp"
 #include "obs/trace.hpp"     // EventKind (which counters we delta)
 #include "obs/watchdog.hpp"  // WdSample (the shared gauge snapshot shape)
-
-#if !defined(ICILK_TIMESERIES_ENABLED)
-#define ICILK_TIMESERIES_ENABLED 1
-#endif
 
 namespace icilk::obs {
 
 class MetricsRegistry;
-
-/// True when the timeseries hooks were compiled in.
-constexpr bool timeseries_compiled_in() noexcept {
-  return ICILK_TIMESERIES_ENABLED != 0;
-}
 
 // ---------------------------------------------------------------------------
 // One closed epoch
@@ -80,9 +56,9 @@ constexpr bool timeseries_compiled_in() noexcept {
 struct TsEpoch {
   static constexpr int kMaxLevels = 64;
 
-  std::uint64_t seq = 0;          ///< 0-based epoch number since start()
-  std::uint64_t t_ns = 0;         ///< now_ns() when the epoch closed
-  std::uint64_t duration_ns = 0;  ///< actual window width (ticker jitter)
+  std::uint64_t seq = 0;          ///< 0-based epoch number
+  std::uint64_t t_ns = 0;         ///< t_ns of the sample that closed it
+  std::uint64_t duration_ns = 0;  ///< actual window width (sampler jitter)
 
   /// Per-priority latency digest of requests that COMPLETED this epoch.
   /// count/duration is the per-level completion throughput.
@@ -111,8 +87,7 @@ struct TsEpoch {
   std::uint64_t sp_work_ns = 0;
   std::uint64_t sp_span_ns = 0;
 
-  // Instantaneous gauges at epoch close (from the sample callback; all
-  // zero when none is wired).
+  // Instantaneous gauges at epoch close (from the closing WdSample).
   std::uint64_t bitfield = 0;
   std::int32_t num_levels = 0;
   std::uint32_t pool_depth[kMaxLevels] = {};
@@ -126,11 +101,9 @@ struct TsEpoch {
 // The timeseries itself
 // ---------------------------------------------------------------------------
 
-/// Epoch ticker + histogram slots + digest ring. Always compiled (the
-/// compile-out contract is about the ts_note_request hot-path hook; this
-/// is a cold background object the runtime simply never creates when the
-/// subsystem is off). Thread-safe: any number of recorders, the ticker,
-/// and endpoint readers may run concurrently.
+/// Digest ring + delta baselines; the runtime creates one when
+/// cfg.timeseries_enabled. Thread-safe: the closing thread and any number
+/// of endpoint readers may run concurrently.
 class TimeSeries {
  public:
   struct Config {
@@ -140,38 +113,25 @@ class TimeSeries {
     /// Retained epochs (the ring /timeseries and flight bundles expose).
     int epochs = 120;
 
-    /// Optional: counter deltas are computed against this registry.
+    /// Optional: latency digests and counter deltas are computed against
+    /// this registry (all zero when none is wired).
     MetricsRegistry* metrics = nullptr;
-    /// Optional: fills the gauge snapshot at each epoch close. The
-    /// runtime binds the same filler the watchdog uses
-    /// (Runtime::wd_fill_sample); tests may synthesize samples.
-    std::function<void(WdSample&)> sample_fn;
     /// Active scheduling policy name (stamped into the JSON document).
     std::string scheduler;
   };
 
   explicit TimeSeries(Config cfg);
-  ~TimeSeries();  // stops the ticker thread, frees the slot histograms
 
   TimeSeries(const TimeSeries&) = delete;
   TimeSeries& operator=(const TimeSeries&) = delete;
 
-  /// Starts the background epoch ticker. Idempotent.
-  void start();
-  /// Stops and joins the ticker. Idempotent; safe with recorders live.
-  void stop();
-  bool running() const noexcept {
-    return running_.load(std::memory_order_acquire);
-  }
+  /// True once the current epoch's deadline (open + epoch_ms, on a fixed
+  /// grid from construction) is at or before `t_ns`.
+  bool due(std::uint64_t t_ns) const;
 
-  /// Records one completed request into the current epoch's slot. Called
-  /// through the ts_note_request hook below; lock-free.
-  void record(int level, std::uint64_t latency_ns) noexcept;
-
-  /// Closes the current epoch synchronously on the calling thread (tests
-  /// drive the ring deterministically with this; the ticker thread calls
-  /// the same path).
-  void tick_once();
+  /// Closes the current epoch at `s.t_ns` (now when 0), taking its gauges
+  /// from `s`. Tests drive the ring deterministically with this.
+  void close_epoch(const WdSample& s);
 
   std::uint64_t epochs_closed() const noexcept {
     return epochs_closed_.load(std::memory_order_relaxed);
@@ -196,42 +156,25 @@ class TimeSeries {
   const Config& config() const noexcept { return cfg_; }
 
  private:
-  /// Per-level histogram bank for one epoch slot. Histograms allocate
-  /// lazily on first record at that level (most of the 64 levels never
-  /// serve requests; eager allocation would be 2 x 64 x 20KB of memset).
-  struct Slot {
-    std::atomic<load::Histogram*> lv[TsEpoch::kMaxLevels] = {};
-    /// Recorders currently inside record() on this slot; the ticker
-    /// waits for 0 after retiring the slot so the digest-and-reset pass
-    /// never races (and never drops) a straggler sample.
-    std::atomic<std::uint32_t> inflight{0};
-  };
-
-  void loop();
-  load::Histogram* slot_hist(Slot& s, int level) noexcept;
-  void digest_into(TsEpoch& e, Slot& s, std::uint64_t now,
-                   std::uint64_t open_ns);
+  std::uint64_t epoch_ns() const noexcept;
+  void digest_latency(TsEpoch& e);
+  void digest_counters(TsEpoch& e);
 
   Config cfg_;
-  std::mutex life_mu_;  ///< serializes start/stop (never held with mu_)
-  std::thread thread_;
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stop_{false};
-  std::condition_variable stop_cv_;  ///< wakes the ticker early on stop()
-  std::mutex stop_mu_;
 
-  Slot slots_[2];
-  std::atomic<std::uint32_t> active_{0};
-
-  // Ring + delta memory. A plain mutex is fine — the ticker runs at ~1Hz
-  // and readers are stats endpoints, never the scheduler hot path.
+  // Ring + delta memory. A plain mutex is fine — epochs close at ~1Hz and
+  // readers are stats endpoints, never the scheduler hot path.
   mutable std::mutex mu_;
   std::vector<TsEpoch> ring_;  // capacity cfg_.epochs
   std::size_t ring_next_ = 0;  // next write slot
   std::size_t ring_size_ = 0;  // valid entries
   std::uint64_t epoch_open_ns_ = 0;  ///< when the current window opened
+  std::uint64_t next_due_ns_ = 0;    ///< the current window's deadline
+  /// Per-level bucket counts of the registry's total_ns histogram at the
+  /// previous close (empty until the level first completes a request).
+  std::vector<std::uint64_t> prev_lat_[TsEpoch::kMaxLevels];
   /// Previous cumulative counter totals (delta baseline), indexed by the
-  /// EventKind values digest_into deltas.
+  /// EventKind values digest_counters deltas.
   std::uint64_t prev_counts_[static_cast<int>(EventKind::kCount)] = {};
   /// Spanprof cumulative-total baselines (same delta discipline).
   std::uint64_t prev_sp_reqs_ = 0;
@@ -240,25 +183,5 @@ class TimeSeries {
 
   std::atomic<std::uint64_t> epochs_closed_{0};
 };
-
-// ---------------------------------------------------------------------------
-// Hot-path hook
-// ---------------------------------------------------------------------------
-
-#if ICILK_TIMESERIES_ENABLED
-
-/// Folds a completed request into the current epoch. The runtime calls
-/// this beside MetricsRegistry::record_request; `ts` is null when the
-/// subsystem is compiled in but not enabled for this runtime.
-inline void ts_note_request(TimeSeries* ts, int level,
-                            std::uint64_t latency_ns) noexcept {
-  if (ts != nullptr) ts->record(level, latency_ns);
-}
-
-#else  // !ICILK_TIMESERIES_ENABLED
-
-inline void ts_note_request(TimeSeries*, int, std::uint64_t) noexcept {}
-
-#endif  // ICILK_TIMESERIES_ENABLED
 
 }  // namespace icilk::obs

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -205,51 +204,7 @@ Watchdog::Watchdog(Config cfg) : cfg_(std::move(cfg)) {
   }
 }
 
-Watchdog::~Watchdog() { stop(); }
-
-void Watchdog::start() {
-  std::lock_guard<std::mutex> lk(life_mu_);
-  if (thread_.joinable()) return;
-  stop_.store(false, std::memory_order_release);
-  running_.store(true, std::memory_order_release);
-  thread_ = std::thread([this] { loop(); });
-}
-
-void Watchdog::stop() {
-  std::lock_guard<std::mutex> lk(life_mu_);
-  if (!thread_.joinable()) return;
-  stop_.store(true, std::memory_order_release);
-  thread_.join();
-  thread_ = std::thread();
-  running_.store(false, std::memory_order_release);
-}
-
-void Watchdog::loop() {
-  const auto period = std::chrono::milliseconds(cfg_.period_ms);
-  while (!stop_.load(std::memory_order_acquire)) {
-    sample_once();
-    if (cfg_.handle_sigusr2) {
-      std::uint64_t seen = sigusr2_count();
-      if (seen != sigusr2_handled_) {
-        sigusr2_handled_ = seen;
-        dump_now("sigusr2");
-      }
-    }
-    // Sleep in 1ms slices so stop() never waits a full period.
-    auto deadline = std::chrono::steady_clock::now() + period;
-    while (!stop_.load(std::memory_order_acquire) &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }
-}
-
-void Watchdog::sample_once() {
-  WdSample s;
-  s.t_ns = now_ns();
-  if (cfg_.sample_fn) cfg_.sample_fn(s);
-  if (s.t_ns == 0) s.t_ns = now_ns();
-
+void Watchdog::sample_once(const WdSample& s) {
   {
     std::lock_guard<std::mutex> lk(mu_);
     ring_[ring_next_] = s;
@@ -259,6 +214,13 @@ void Watchdog::sample_once() {
   samples_.fetch_add(1, std::memory_order_relaxed);
   mirror_gauges(s);
   if (cfg_.detectors_enabled) run_detectors(s);
+  if (cfg_.handle_sigusr2) {
+    const std::uint64_t seen = sigusr2_count();
+    if (seen != sigusr2_handled_) {
+      sigusr2_handled_ = seen;
+      dump_now("sigusr2");
+    }
+  }
 }
 
 namespace {
@@ -488,14 +450,16 @@ std::string Watchdog::write_bundle(const std::string& reason,
   write_flight_bundle(os, b);
   os.flush();
   if (!os) return "";
-  bundles_.fetch_add(1, std::memory_order_relaxed);
+  {
+    // Path before count: a reader that sees bundles_written() move can
+    // read this bundle's path.
+    std::lock_guard<std::mutex> lk(mu_);
+    last_bundle_ = name;
+  }
+  bundles_.fetch_add(1, std::memory_order_release);
   if (cfg_.metrics != nullptr) {
     cfg_.metrics->wd_set(WdGauge::kBundles,
                          static_cast<std::int64_t>(bundles_written()));
-  }
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    last_bundle_ = name;
   }
   return name;
 }
@@ -561,7 +525,6 @@ std::string Watchdog::health_json() const {
   std::ostringstream os;
   os << "{\"watchdog\":{";
   os << "\"compiled_in\":" << (watchdog_compiled_in() ? "true" : "false");
-  os << ",\"running\":" << (running() ? "true" : "false");
   os << ",\"scheduler\":\"" << json_escape(cfg_.scheduler) << '"';
   os << ",\"period_ms\":" << cfg_.period_ms;
   os << ",\"samples\":" << samples();
@@ -597,7 +560,6 @@ std::string Watchdog::health_stats_text(const std::string& prefix,
   auto add = [&](const char* name, long long v) {
     os << "STAT " << prefix << "wd_" << name << ' ' << v << eol;
   };
-  add("running", running() ? 1 : 0);
   add("samples", static_cast<long long>(samples()));
   add("period_ms", cfg_.period_ms);
   add("sleepers", s.sleepers);

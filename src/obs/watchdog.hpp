@@ -3,9 +3,9 @@
 //
 // The obs layer so far RECORDS what the scheduler did (trace rings, the
 // metrics registry, request timelines) but never CHECKS it. This module
-// closes the loop with a low-overhead background sampler that snapshots
-// scheduler state on a fixed period and runs invariant detectors over the
-// series:
+// closes the loop: the runtime's obs sampler thread snapshots scheduler
+// state on a fixed period and hands each snapshot to sample_once(), which
+// runs invariant detectors over the series:
 //
 //   promptness violation  the bitfield shows level p occupied beyond a
 //                         threshold while some worker persists at a lower
@@ -27,9 +27,8 @@
 // request timelines, the sample history, the tripping snapshot, build
 // flags, and the active fault-injection seed, so any alarm is replayable.
 //
-// Layering: this file sees only obs types. The sampler pulls its snapshot
-// through a plain callback (Watchdog::Config::sample_fn) that the runtime
-// provides; WdSample is plain data the core fills in. The suspended/
+// Layering: this file sees only obs types. WdSample is plain data the
+// core fills in (Runtime::wd_fill_sample) and pushes in. The suspended/
 // resumable census is a process-global sharded registry keyed by opaque
 // deque addresses — the deque hooks below never get dereferenced here.
 //
@@ -38,14 +37,14 @@
 //     header inlines to nothing; no hot-path object references a watchdog
 //     symbol (scripts/soak.sh wdoff proves it, plus probe==baseline in
 //     bench/micro_watchdog). The Watchdog class itself stays compiled
-//     (tests drive it with a synthetic sample_fn), but the runtime never
+//     (tests drive it with synthetic samples), but the runtime never
 //     instantiates one.
 //   * Compiled in: the census hooks cost one shard spinlock + hash-map op
 //     per deque STATE TRANSITION (suspend/resume/mug/death — paths that
 //     already park fibers or take the deque lock; never the spawn fast
 //     path); the worker state word is one relaxed store per acquire
-//     transition. The sampler itself is one background thread doing ~100
-//     gauge reads every period_ms.
+//     transition. Sampling is ~100 gauge reads every period_ms on the
+//     runtime's obs sampler thread (shared with the timeseries).
 #pragma once
 
 #include <atomic>
@@ -54,7 +53,6 @@
 #include <functional>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "concurrent/clock.hpp"
@@ -99,8 +97,9 @@ constexpr int wd_level_of(std::uint32_t w) noexcept {
 }
 
 /// One sampler snapshot: plain data, fixed size, copyable. The runtime's
-/// sample_fn fills it (scheduler pool depths + bitfield via the scheduler's
-/// wd_fill hook; census/worker/reactor gauges from the runtime itself).
+/// wd_fill_sample fills it (scheduler pool depths + bitfield via the
+/// scheduler's wd_fill hook; census/worker/reactor gauges from the runtime
+/// itself).
 struct WdSample {
   static constexpr int kMaxLevels = 64;
   static constexpr int kMaxWorkers = 64;
@@ -205,24 +204,21 @@ const char* wd_detector_name(WdDetector d) noexcept;
 // The watchdog itself
 // ---------------------------------------------------------------------------
 
-/// Background sampler + detectors + bundle trigger. Always compiled (the
-/// compile-out contract is about the HOT-PATH hooks above; the watchdog is
-/// a cold background thread the runtime simply never starts when the
-/// subsystem is off). Thread-safe: the sampler thread and any number of
-/// stats/endpoint readers may run concurrently.
+/// Detectors + sample history + bundle trigger. Always compiled (the
+/// compile-out contract is about the HOT-PATH hooks above; the runtime
+/// simply never creates a watchdog when the subsystem is off).
+/// Thread-safe: one sampling thread and any number of stats/endpoint
+/// readers may run concurrently.
 class Watchdog {
  public:
   struct Config {
-    /// Sampling period. The default trades ~100 gauge reads per 10ms for
-    /// sub-period detection latency; benches run minicached with this on
-    /// and stay within 1% of baseline throughput.
+    /// Sampling period (the runtime's sampler ticks at it). The default
+    /// trades ~100 gauge reads per 10ms for sub-period detection latency;
+    /// benches run minicached with this on and stay within 1% of baseline
+    /// throughput.
     int period_ms = 10;
     /// Retained sample-history ring (bundles include all of it).
     int history = 128;
-
-    /// Fills one WdSample; REQUIRED. The runtime binds its own filler
-    /// (Runtime::wd_fill_sample); tests may synthesize samples.
-    std::function<void(WdSample&)> sample_fn;
 
     /// Optional: sampled gauges + trip counters are mirrored here (the
     /// `/metrics` / `stats icilk` surfaces render them).
@@ -259,8 +255,8 @@ class Watchdog {
     /// manual dumps (dump_now / SIGUSR2) are always honored.
     int max_auto_bundles = 3;
     std::uint64_t bundle_min_interval_ms = 1000;
-    /// Poll the process-wide SIGUSR2 counter and dump on each delivery
-    /// (the handler must be installed once via install_sigusr2()).
+    /// Poll the process-wide SIGUSR2 counter on every sample_once and
+    /// dump on each delivery (the constructor installs the handler).
     bool handle_sigusr2 = false;
     /// Build-flag provenance line; defaults to flightrec's
     /// build_flags_string().
@@ -272,24 +268,15 @@ class Watchdog {
   };
 
   explicit Watchdog(Config cfg);
-  ~Watchdog();  // stops the sampler thread
 
   Watchdog(const Watchdog&) = delete;
   Watchdog& operator=(const Watchdog&) = delete;
 
-  /// Starts the background sampler thread. Idempotent.
-  void start();
-  /// Stops and joins the sampler. Idempotent; safe to call with samplers
-  /// mid-sample (teardown race covered by tests/obs/test_watchdog.cpp).
-  void stop();
-  bool running() const noexcept {
-    return running_.load(std::memory_order_acquire);
-  }
-
-  /// Takes one sample + detector pass synchronously on the calling thread
-  /// (tests drive detectors deterministically with this; the background
-  /// thread calls the same path).
-  void sample_once();
+  /// Consumes one sample: history ring, gauge mirror, detector pass, and
+  /// the SIGUSR2 poll. The runtime's sampler calls it every tick; tests
+  /// drive detectors deterministically with scripted samples. One caller
+  /// at a time.
+  void sample_once(const WdSample& s);
 
   std::uint64_t samples() const noexcept {
     return samples_.load(std::memory_order_relaxed);
@@ -304,7 +291,7 @@ class Watchdog {
   }
   std::uint64_t trips_total() const noexcept;
   std::uint64_t bundles_written() const noexcept {
-    return bundles_.load(std::memory_order_relaxed);
+    return bundles_.load(std::memory_order_acquire);
   }
   /// Path of the most recently written bundle ("" if none).
   std::string last_bundle_path() const;
@@ -332,7 +319,6 @@ class Watchdog {
   static std::uint64_t sigusr2_count() noexcept;
 
  private:
-  void loop();
   void run_detectors(const WdSample& s);
   void trip(WdDetector d, const WdSample& s, std::string detail);
   std::string write_bundle(const std::string& reason,
@@ -340,10 +326,6 @@ class Watchdog {
   void mirror_gauges(const WdSample& s);
 
   Config cfg_;
-  std::mutex life_mu_;  ///< serializes start/stop (never held with mu_)
-  std::thread thread_;
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stop_{false};
 
   // Sampler state: ring + detector memories. A plain mutex is fine — the
   // sampler runs at ~100Hz and readers are stats endpoints, never the

@@ -76,8 +76,8 @@ struct ObsEndpointsTest : ::testing::Test {
     RuntimeConfig cfg;
     cfg.num_workers = 2;
     cfg.num_levels = 4;
-    // Huge epoch: the ticker thread never fires on its own; the tests
-    // close epochs deterministically with tick_once().
+    // Huge epoch: the sampler never closes one on its own; the tests
+    // close epochs deterministically with close_epoch().
     cfg.timeseries_enabled = true;
     cfg.timeseries_epoch_ms = 3600 * 1000;
     cfg.timeseries_epochs = 16;
@@ -139,13 +139,10 @@ TEST_F(ObsEndpointsTest, ParallelismSurfacesInPrometheusText) {
 }
 
 TEST_F(ObsEndpointsTest, TimeseriesWindowParamBoundsEpochs) {
-  if (!obs::timeseries_compiled_in()) {
-    GTEST_SKIP() << "ICILK_TIMESERIES=OFF";
-  }
   obs::TimeSeries* ts = rt->timeseries();
   ASSERT_NE(ts, nullptr);
   run_one_request();
-  for (int i = 0; i < 5; ++i) ts->tick_once();
+  for (int i = 0; i < 5; ++i) ts->close_epoch(obs::WdSample{});
 
   // Unbounded: all five closed epochs.
   std::string resp =
@@ -170,13 +167,10 @@ TEST_F(ObsEndpointsTest, TimeseriesWindowParamBoundsEpochs) {
 }
 
 TEST_F(ObsEndpointsTest, TimeseriesEpochsCarrySpanprofDeltas) {
-  if (!obs::timeseries_compiled_in()) {
-    GTEST_SKIP() << "ICILK_TIMESERIES=OFF";
-  }
   obs::TimeSeries* ts = rt->timeseries();
   ASSERT_NE(ts, nullptr);
   run_one_request();
-  ts->tick_once();
+  ts->close_epoch(obs::WdSample{});
   const std::string resp =
       http_get(http->port(), "GET /timeseries?n=1 HTTP/1.0\r\n\r\n");
   EXPECT_NE(resp.find("\"sp_reqs\":"), std::string::npos);

@@ -1,9 +1,9 @@
 // Watchdog / flight-recorder tests (src/obs/watchdog.hpp, flightrec.hpp).
 //
 // Three layers:
-//   * scripted detectors — a synthetic sample_fn drives sample_once() with
-//     hand-written WdSample sequences, so every detector's fire/no-fire
-//     boundary is exercised fully deterministically (no sleeps, no load);
+//   * scripted detectors — sample_once() is fed hand-written WdSample
+//     sequences, so every detector's fire/no-fire boundary is exercised
+//     fully deterministically (no sleeps, no load);
 //   * end-to-end — a real runtime under inject-forced scenarios (the
 //     kPromptMask crosspoint manufactures a promptness violation; planted
 //     census entries manufacture an aging stall; blocked tasks a census
@@ -57,25 +57,23 @@ std::string read_file(const std::string& path) {
 }
 
 // ---------------------------------------------------------------------------
-// Scripted detectors: the watchdog never starts its thread; the test feeds
-// samples through sample_once(), overriding t_ns for virtual time.
+// Scripted detectors: no runtime, no sampler thread; the test feeds
+// samples through sample_once(), with t_ns as virtual time.
 // ---------------------------------------------------------------------------
 
-/// Hands out pre-scripted samples in order (sticks on the last one).
+/// A script of samples plus the watchdog config the cases share.
 struct ScriptedSampler {
   std::vector<WdSample> script;
-  std::size_t next = 0;
 
   Watchdog::Config config() {
     Watchdog::Config cfg;
-    cfg.sample_fn = [this](WdSample& s) {
-      if (script.empty()) return;
-      s = script[next < script.size() ? next : script.size() - 1];
-      ++next;
-    };
     cfg.bundle_dir = testing::TempDir();
     cfg.bundle_prefix = "wdtest";
     return cfg;
+  }
+  /// Feeds the whole script, in order.
+  void feed(Watchdog& wd) const {
+    for (const WdSample& s : script) wd.sample_once(s);
   }
 };
 
@@ -107,7 +105,7 @@ TEST(WdDetectors, PromptnessFiresOnPersistentDwell) {
   auto cfg = src.config();
   cfg.promptness_threshold_ms = 25;
   Watchdog wd(cfg);
-  for (std::size_t i = 0; i < src.script.size(); ++i) wd.sample_once();
+  src.feed(wd);
   EXPECT_EQ(wd.trips(WdDetector::kPromptness), 1u)
       << "fires once, then stays disarmed until the level clears";
   EXPECT_EQ(wd.trips_total(), 1u) << "no other detector fires";
@@ -133,7 +131,7 @@ TEST(WdDetectors, PromptnessRearmsAfterLevelClears) {
   cfg.promptness_threshold_ms = 25;
   cfg.max_auto_bundles = 0;  // counting trips only
   Watchdog wd(cfg);
-  for (std::size_t i = 0; i < src.script.size(); ++i) wd.sample_once();
+  src.feed(wd);
   EXPECT_EQ(wd.trips(WdDetector::kPromptness), 2u);
   EXPECT_EQ(wd.bundles_written(), 0u) << "auto bundles disabled";
 }
@@ -153,7 +151,7 @@ TEST(WdDetectors, PromptnessSilentWhenWorkersServiceTheLevel) {
   auto cfg = src.config();
   cfg.promptness_threshold_ms = 25;
   Watchdog wd(cfg);
-  for (std::size_t i = 0; i < src.script.size(); ++i) wd.sample_once();
+  src.feed(wd);
   EXPECT_EQ(wd.trips_total(), 0u);
 }
 
@@ -177,7 +175,7 @@ TEST(WdDetectors, PromptnessNeedsTwoConsecutiveSamples) {
   auto cfg = src.config();
   cfg.promptness_threshold_ms = 25;
   Watchdog wd(cfg);
-  for (std::size_t i = 0; i < src.script.size(); ++i) wd.sample_once();
+  src.feed(wd);
   EXPECT_EQ(wd.trips_total(), 0u);
 }
 
@@ -202,7 +200,7 @@ TEST(WdDetectors, AgingStallFiresAndRearms) {
   cfg.aging_threshold_ms = 100;
   cfg.max_auto_bundles = 0;
   Watchdog wd(cfg);
-  for (std::size_t i = 0; i < src.script.size(); ++i) wd.sample_once();
+  src.feed(wd);
   EXPECT_EQ(wd.trips(WdDetector::kAgingStall), 2u);
   EXPECT_EQ(wd.trips_total(), 2u);
 }
@@ -224,7 +222,7 @@ TEST(WdDetectors, AgingSilentWhenWorkersBusyAtOrAbove) {
     src.script.push_back(s);
   }
   Watchdog wd(src.config());
-  for (std::size_t i = 0; i < src.script.size(); ++i) wd.sample_once();
+  src.feed(wd);
   EXPECT_EQ(wd.trips_total(), 0u);
 }
 
@@ -250,7 +248,7 @@ TEST(WdDetectors, WakeStormNeedsConsecutiveHotSamples) {
   Watchdog wd(cfg);
   // An extra baseline sample so the first delta exists.
   src.script.insert(src.script.begin(), idle_sample(1000 * kMs));
-  for (std::size_t i = 0; i < src.script.size(); ++i) wd.sample_once();
+  src.feed(wd);
   EXPECT_EQ(wd.trips(WdDetector::kWakeStorm), 1u);
 }
 
@@ -267,7 +265,7 @@ TEST(WdDetectors, CensusLeakFiresOnGrowthWithoutCompletions) {
   cfg.census_leak_samples = 4;
   cfg.max_auto_bundles = 0;
   Watchdog wd(cfg);
-  for (std::size_t i = 0; i < src.script.size(); ++i) wd.sample_once();
+  src.feed(wd);
   EXPECT_EQ(wd.trips(WdDetector::kCensusLeak), 1u);
 }
 
@@ -283,7 +281,7 @@ TEST(WdDetectors, CensusLeakSilentWhileTasksComplete) {
   auto cfg = src.config();
   cfg.census_leak_samples = 4;
   Watchdog wd(cfg);
-  for (std::size_t i = 0; i < src.script.size(); ++i) wd.sample_once();
+  src.feed(wd);
   EXPECT_EQ(wd.trips_total(), 0u);
 }
 
@@ -295,7 +293,7 @@ TEST(WdDetectors, QuietSystemStaysSilent) {
                                          kMs));
   }
   Watchdog wd(src.config());
-  for (int i = 0; i < 64; ++i) wd.sample_once();
+  src.feed(wd);
   EXPECT_EQ(wd.trips_total(), 0u);
   EXPECT_EQ(wd.samples(), 64u);
   EXPECT_EQ(wd.history().size(), 64u);
@@ -320,7 +318,7 @@ TEST(WdDetectors, AutoBundlesAreCapped) {
   cfg.max_auto_bundles = 2;
   cfg.bundle_min_interval_ms = 0;
   Watchdog wd(cfg);
-  for (std::size_t i = 0; i < src.script.size(); ++i) wd.sample_once();
+  src.feed(wd);
   EXPECT_GE(wd.trips(WdDetector::kPromptness), 3u);
   EXPECT_EQ(wd.bundles_written(), 2u);
 }
@@ -340,7 +338,7 @@ TEST(FlightBundle, DumpRoundTripsThroughParser) {
   cfg.inject_seed_fn = [] { return std::uint64_t{0xDEADBEEF}; };
   cfg.scheduler = "multiqueue";
   Watchdog wd(cfg);
-  for (int i = 0; i < 5; ++i) wd.sample_once();
+  src.feed(wd);
 
   const std::string path = wd.dump_now("unit_test_dump");
   ASSERT_FALSE(path.empty());
@@ -372,7 +370,7 @@ TEST(FlightBundle, BundleCarriesMetricsAndTrace) {
   cfg.metrics = &metrics;
   cfg.trace = &trace;
   Watchdog wd(cfg);
-  wd.sample_once();
+  src.feed(wd);
   const std::string path = wd.dump_now("with_surfaces");
   ASSERT_FALSE(path.empty());
   const ParsedFlightBundle b = parse_flight_bundle(read_file(path));
@@ -443,7 +441,7 @@ TEST(WdExposition, HealthJsonAndStatsText) {
   s.zero_transitions = 7;
   src.script.push_back(s);
   Watchdog wd(src.config());
-  wd.sample_once();
+  src.feed(wd);
 
   const std::string j = wd.health_json();
   EXPECT_NE(j.find("\"watchdog\":{"), std::string::npos);
@@ -467,7 +465,7 @@ TEST(WdExposition, MetricsGaugesMirrored) {
   auto cfg = src.config();
   cfg.metrics = &metrics;
   Watchdog wd(cfg);
-  wd.sample_once();
+  src.feed(wd);
   EXPECT_EQ(metrics.wd_gauge(WdGauge::kSamples), 1);
   EXPECT_EQ(metrics.wd_gauge(WdGauge::kSleepers), 2);
   // The STAT text renders the wd_ group once samples exist.
@@ -476,49 +474,47 @@ TEST(WdExposition, MetricsGaugesMirrored) {
 }
 
 // ---------------------------------------------------------------------------
-// SIGUSR2
-// ---------------------------------------------------------------------------
-
-TEST(WdSignal, Sigusr2TriggersBundle) {
-  ScriptedSampler src;
-  src.script.push_back(idle_sample(1000 * kMs));
-  auto cfg = src.config();
-  cfg.period_ms = 1;
-  cfg.handle_sigusr2 = true;
-  Watchdog wd(cfg);
-  wd.start();
-  ASSERT_TRUE(eventually([&] { return wd.samples() > 0; }));
-  ::raise(SIGUSR2);
-  ASSERT_TRUE(eventually([&] { return wd.bundles_written() >= 1; }))
-      << "SIGUSR2 delivery did not produce a bundle";
-  wd.stop();
-  const ParsedFlightBundle b =
-      parse_flight_bundle(read_file(wd.last_bundle_path()));
-  ASSERT_TRUE(b.ok) << b.error;
-  EXPECT_EQ(b.reason, "sigusr2");
-  std::remove(wd.last_bundle_path().c_str());
-}
-
-// ---------------------------------------------------------------------------
 // End-to-end: real runtime, inject-forced scenarios, clean controls
 // ---------------------------------------------------------------------------
 
-std::unique_ptr<Runtime> make_wd_rt(int workers, int period_ms = 5) {
+std::unique_ptr<Runtime> make_wd_rt(int workers, int period_ms = 5,
+                                    bool timeseries = false) {
   RuntimeConfig cfg;
   cfg.num_workers = workers;
   cfg.num_levels = 8;
   cfg.watchdog_enabled = true;
   cfg.watchdog_period_ms = period_ms;
   cfg.watchdog_bundle_dir = testing::TempDir();
+  cfg.timeseries_enabled = timeseries;
+  cfg.timeseries_epoch_ms = 2;
   return std::make_unique<Runtime>(cfg,
                                    std::make_unique<PromptScheduler>());
+}
+
+// The runtime's sampler polls the SIGUSR2 counter on every sample and
+// turns a delivery into an on-demand bundle.
+TEST(WdSignal, Sigusr2TriggersBundle) {
+  if (!watchdog_compiled_in()) GTEST_SKIP() << "ICILK_WATCHDOG=OFF";
+  auto rt = make_wd_rt(1, 1);
+  ASSERT_NE(rt->watchdog(), nullptr);
+  ASSERT_TRUE(rt->watchdog()->config().handle_sigusr2);
+  ASSERT_TRUE(eventually([&] { return rt->watchdog()->samples() > 0; }));
+  ::raise(SIGUSR2);
+  ASSERT_TRUE(
+      eventually([&] { return rt->watchdog()->bundles_written() >= 1; }))
+      << "SIGUSR2 delivery did not produce a bundle";
+  rt->shutdown();
+  const ParsedFlightBundle b =
+      parse_flight_bundle(read_file(rt->watchdog()->last_bundle_path()));
+  ASSERT_TRUE(b.ok) << b.error;
+  EXPECT_EQ(b.reason, "sigusr2");
+  std::remove(rt->watchdog()->last_bundle_path().c_str());
 }
 
 TEST(WdEndToEnd, RuntimeRunsSamplerAndStaysClean) {
   if (!watchdog_compiled_in()) GTEST_SKIP() << "ICILK_WATCHDOG=OFF";
   auto rt = make_wd_rt(2, 2);
   ASSERT_NE(rt->watchdog(), nullptr);
-  EXPECT_TRUE(rt->watchdog()->running());
   // Mixed-priority load; a healthy scheduler must not trip anything.
   std::vector<Future<void>> futs;
   for (int i = 0; i < 200; ++i) {
@@ -574,8 +570,13 @@ TEST(WdEndToEnd, InjectPromptMaskTripsPromptnessDetector) {
   // masked at level 0. Default promptness threshold is 100ms; give the
   // sampler comfortably more than that.
   auto high = rt->submit(5, [] {});
+  // Watchdog::trip bumps the trip count BEFORE it writes the bundle (the
+  // bundle records the count), so wait for both, not just the trip.
   const bool tripped = eventually(
-      [&] { return rt->watchdog()->trips(WdDetector::kPromptness) >= 1; },
+      [&] {
+        return rt->watchdog()->trips(WdDetector::kPromptness) >= 1 &&
+               rt->watchdog()->bundles_written() >= 1;
+      },
       3000ms);
   stop.store(true);
   for (auto& f : low) f.get();
@@ -639,12 +640,13 @@ TEST(WdEndToEnd, SuspendedTasksShowInCensusAndDrainClean) {
 }
 
 TEST(WdEndToEnd, SamplerVersusTeardownRace) {
-  // The TSan/ASan target: a fast sampler racing runtime construction and
-  // destruction. Any use-after-free between wd_fill_sample's walk and
-  // shutdown order is caught here.
+  // The TSan/ASan target: a fast sampler, feeding both the watchdog and
+  // the timeseries, racing runtime construction and destruction. Any
+  // use-after-free between wd_fill_sample's walk and shutdown order is
+  // caught here.
   const int iters = watchdog_compiled_in() ? 15 : 3;
   for (int i = 0; i < iters; ++i) {
-    auto rt = make_wd_rt(2, 1);
+    auto rt = make_wd_rt(2, 1, true);
     std::vector<Future<void>> futs;
     for (int k = 0; k < 16; ++k) {
       futs.push_back(rt->submit(k % 8, [] {
