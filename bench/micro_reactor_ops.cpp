@@ -9,6 +9,12 @@
 //           table and complete from an I/O thread.
 //   timer   N tasks issue short async sleeps through the sharded timers.
 //
+// plus one latency row, `handover`: the median time from an outside pipe
+// write until the reader task parked on it has resumed, on an otherwise
+// idle 2-worker, 1-I/O-thread runtime (the workers are parked in the
+// epoll). It prices the "completion publish and wake" layer: readiness,
+// read, publish, wake, dispatch.
+//
 // Run twice to see what the freelists buy:
 //   ./bench/micro_reactor_ops            # pools on (default)
 //   ICILK_IO_POOL=0 ./bench/micro_reactor_ops
@@ -17,6 +23,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -224,6 +231,36 @@ void run_timer(Fixture& fx, int threads, std::uint64_t rounds) {
   for (auto& f : fs) f.get();
 }
 
+/// handover mode (see the header): returns the median in µs.
+double run_handover(int rounds) {
+  RuntimeConfig cfg;
+  cfg.num_workers = 2;
+  cfg.num_io_threads = 1;
+  Runtime rt(cfg, std::make_unique<PromptScheduler>());
+  IoReactor reactor(rt);
+  int fds[2];
+  if (::pipe2(fds, O_NONBLOCK | O_CLOEXEC) != 0) std::abort();
+  std::vector<double> us;
+  us.reserve(static_cast<std::size_t>(rounds));
+  for (int r = 0; r < rounds; ++r) {
+    std::uint64_t resumed_ns = 0;
+    auto f = rt.submit(0, [&] {
+      char c;
+      if (reactor.read_some(fds[0], &c, 1) != 1) std::abort();
+      resumed_ns = now_ns();
+    });
+    ::usleep(500);  // the reader parks, then the workers go idle
+    const std::uint64_t t0 = now_ns();
+    if (::write(fds[1], "h", 1) != 1) std::abort();
+    f.get();  // orders resumed_ns before this read
+    us.push_back(static_cast<double>(resumed_ns - t0) / 1e3);
+  }
+  reactor.close_fd(fds[0]);
+  ::close(fds[1]);
+  std::nth_element(us.begin(), us.begin() + us.size() / 2, us.end());
+  return us[us.size() / 2];
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -239,6 +276,7 @@ int main(int argc, char** argv) {
   const auto inline_rounds = static_cast<std::uint64_t>(50000 * scale);
   const auto armed_rounds = static_cast<std::uint64_t>(20000 * scale);
   const auto timer_rounds = static_cast<std::uint64_t>(2000 * scale);
+  const int handover_rounds = std::max(1, static_cast<int>(2000 * scale));
 
   // Warm up pools and worker caches before any measured window.
   run_inline(fx, 4, 2000);
@@ -262,5 +300,10 @@ int main(int argc, char** argv) {
     const Row r = measure(ops, [&] { run_timer(fx, threads, timer_rounds); });
     report("timer", threads, r, pools_on);
   }
+  const double handover_us = run_handover(handover_rounds);
+  std::printf("handover 2    median %.1f us (outside write -> reader resumed)\n",
+              handover_us);
+  std::printf("RESULT mode=handover threads=2 ops=%d handover_us=%.2f pool=%s\n",
+              handover_rounds, handover_us, pools_on ? "on" : "off");
   return 0;
 }

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Captures a performance baseline for regression tracking: the fig1
 # memcached p99 sweep plus the reactor fast-path micro-bench with the
-# freelists on and off. Emits BENCH_<date>.json in the repo root
+# freelists on and off (its RESULT rows, including the `handover` row's
+# handover_us: outside write -> parked reader resumed, the completion
+# publish and wake layer). Emits BENCH_<date>.json in the repo root
 # (BENCH_<date>_runN.json on same-day reruns, so no data point is lost).
 #
 # Usage: bench/run_baseline.sh [build-dir] [fig1-duration-seconds]

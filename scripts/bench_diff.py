@@ -46,7 +46,10 @@ LOWER_IS_BETTER = ("p99_ms", "p95_ms", "p99_min_ms", "p99_med_ms",
                    "pre_p99_ms", "burst_p99_ms", "worst_epoch_p99_ms",
                    "recovery_s",
                    # micro_timeseries on-vs-off overhead.
-                   "overhead_pct", "mean_us", "err")
+                   "overhead_pct", "mean_us", "err",
+                   # micro_reactor_ops: outside write -> parked reader
+                   # resumed (completion publish and wake).
+                   "handover_us")
 # Measured fields where a HIGHER value is better.
 HIGHER_IS_BETTER = ("ops_per_s", "completed", "op_pool_hit_rate",
                     "fut_pool_hit_rate", "recovered")

@@ -111,12 +111,15 @@ void ICilkMcServer::connection_routine(int fd) {
   char buf[16384];
   for (;;) {
     // Synchronous-looking read: blocks THIS TASK, not the worker.
-    const ssize_t n = reactor_->read_some(fd, buf, sizeof(buf));
+    std::uint64_t read_done_ns = 0;
+    const ssize_t n = reactor_->read_some(fd, buf, sizeof(buf), &read_done_ns);
     if (n <= 0) break;  // EOF, reset, or shutdown via stop()
     // One read batch = one attributed request: queueing/executing/
     // suspended-io phases from here to the response write land in the
-    // per-level histograms (and the worst-K timeline reservoir).
-    rt_->req_begin();
+    // per-level histograms (and the worst-K timeline reservoir). The clock
+    // starts when the read syscall returned, so queueing covers completion
+    // publish, wake and dispatch of this task.
+    rt_->req_begin(read_done_ns);
     parser.feed(buf, static_cast<std::size_t>(n));
     out.clear();
     bool keep = true;

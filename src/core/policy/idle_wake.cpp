@@ -39,28 +39,30 @@ void IdleWakeEngine::wake_one() {
   notify_or_kick();
 }
 
-void IdleWakeEngine::notify_or_kick() {
+void IdleWakeEngine::notify_or_kick(int self_parked) {
   if (ec_.notify_one()) {
     wakeups_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  // No eventcount sleeper — but a worker may be idling inside the
-  // reactor's epoll (core/idle_poller.hpp). The active() hint is a cheap
-  // seq_cst load; the kick itself is an eventfd write whose readability
-  // persists across the adopt→epoll_wait window, so it cannot be lost.
-  // Ordering vs a worker mid-adoption: the caller's seq_cst publish
-  // precedes this load; if we read active == false the worker's hint
-  // store is later still, and its post-adopt predicate re-check is later
-  // again — it sees the published work and bails out of the poll.
-  if (rt_ != nullptr && rt_->worker_poller_active()) {
+  // No eventcount sleeper — but workers may be parked inside the
+  // reactor's epoll (core/idle_poller.hpp). The count is a cheap seq_cst
+  // load; the kick itself is an eventfd write that waits in the epoll's
+  // ready list until a poller takes it, so it cannot be lost. Ordering vs
+  // a worker mid-adoption: the caller's seq_cst publish precedes this
+  // load; if the count misses the worker, its join is later still, and
+  // its post-join predicate re-check is later again — it sees the
+  // published work and leaves the epoll.
+  if (rt_ != nullptr && rt_->worker_pollers() > self_parked) {
     rt_->idle_poller_kick();
   }
 }
 
 void IdleWakeEngine::stop_wake() {
+  stopping_.store(true, std::memory_order_seq_cst);
   ec_.notify_all();
-  // A worker may be idling inside the reactor's epoll rather than on the
-  // eventcount; kick it so acquire sees the stop flag.
+  // Workers may be parked inside the reactor's epoll rather than on the
+  // eventcount; kick one, and each one that leaves kicks the next
+  // (try_poll_io), so every acquire loop sees the stop flag.
   if (rt_ != nullptr) rt_->idle_poller_kick();
 }
 
@@ -82,21 +84,15 @@ void IdleWakeEngine::publish_batch_end() {
   // was published, the wake chain in the policies' probe success path
   // fans out.
   if (this_worker() != nullptr) {
-    // The drainer is an ADOPTED WORKER (idle poller): it returns to its
+    // The drainer is a PARKED WORKER (idle poller): it returns to its
     // acquire loop right after this flush and takes one published unit
     // itself, so a single completion needs no wake at all — the common
     // low-load case costs zero futex/eventfd traffic. Surplus (a burst)
-    // warrants waking a peer worker AND putting an I/O thread back on
-    // the soon-to-be-released epoll so requests arriving while the
-    // workers chew the burst still get read promptly. Kicking is
-    // pointless here (the only poller is this very worker, and further
-    // idle peers sleep on the eventcount).
-    if (pending > 1) {
-      if (ec_.notify_one()) {
-        wakeups_.fetch_add(1, std::memory_order_relaxed);
-      }
-      rt_->idle_poller_cover();
-    }
+    // wakes one peer — an eventcount sleeper, else another parked worker
+    // — and the acquire-side wake chain fans out from there. Requests
+    // that arrive while every worker chews the burst are read by a
+    // standing-by I/O thread within its re-check period.
+    if (pending > 1) notify_or_kick(/*self_parked=*/1);
     return;
   }
   notify_or_kick();

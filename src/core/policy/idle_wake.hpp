@@ -5,12 +5,14 @@
 //   * the eventcount sleep (prepare/re-check/commit — see
 //     concurrent/eventcount.hpp for why a wake cannot be lost);
 //   * wake-one-per-published-unit with the no-sleeper fast path, falling
-//     back to kicking the epoll-adopted idle poller;
+//     back to kicking a worker parked in the reactor's epoll;
 //   * publish-batch windows (one coalesced wake per reactor drain,
 //     thread-local, keyed to this engine so co-resident runtimes in one
 //     process cannot swallow each other's wakes);
-//   * idle-poller adoption (a worker adopts the reactor's epoll instead of
-//     sleeping, dropping the I/O-thread relay from the critical path).
+//   * idle-poller parking (with a reactor registered, every idle worker
+//     parks in its epoll instead of sleeping, dropping the I/O-thread
+//     relay from the critical path; the eventcount is for runtimes with
+//     no reactor).
 //
 // The predicate is the policy's: sleep paths take a `sleep_ok` callable
 // that must return false as soon as work is visible or stop is requested
@@ -47,18 +49,19 @@ class IdleWakeEngine {
   /// coalesced when the calling thread is inside this engine's
   /// publish-batch window, immediate otherwise.
   void wake_one();
-  /// The immediate half: eventcount sleeper first, else kick the
-  /// epoll-adopted poller (core/idle_poller.hpp), if any.
-  void notify_or_kick();
-  /// Shutdown: wake every sleeper and kick the adopted poller so acquire
+  /// The immediate half: eventcount sleeper first, else kick a worker
+  /// parked in the reactor's epoll (core/idle_poller.hpp), if one exists
+  /// besides the `self_parked` the caller counts for itself.
+  void notify_or_kick(int self_parked = 0);
+  /// Shutdown: wake every sleeper and every parked poller so acquire
   /// loops observe the stop flag promptly.
   void stop_wake();
 
   void publish_batch_begin();
   void publish_batch_end();
 
-  /// Park until woken. First tries to adopt the reactor's epoll; falls
-  /// back to the eventcount. `sleep_ok()` must re-check the policy's
+  /// Park until woken: in the reactor's epoll when one is registered,
+  /// else on the eventcount. `sleep_ok()` must re-check the policy's
   /// work-visibility predicate AND the stop flag.
   template <typename SleepOk>
   void idle_sleep(Worker& w, SleepOk&& sleep_ok) {
@@ -89,31 +92,29 @@ class IdleWakeEngine {
                        obs::TraceEvent::kNoLevel16, 0);
   }
 
-  /// Idle-poller path of idle_sleep: adopt the reactor's epoll and poll it
-  /// until work appears. False if the role was unavailable (caller falls
-  /// back to the eventcount sleep).
+  /// Idle-poller path of idle_sleep: park in the reactor's epoll until
+  /// work appears. False if no reactor is registered or it is stopping
+  /// (the caller sleeps on the eventcount instead).
   template <typename SleepOk>
   bool try_poll_io(Worker& w, SleepOk&& sleep_ok) {
     IdleIoPoller* poller = rt_->idle_poller_acquire();
     if (poller == nullptr) return false;  // no reactor registered (or gone)
-    if (!poller->try_adopt()) {
-      // Role already held (or reactor stopping): sleep on the eventcount.
+    if (!poller->try_adopt()) {  // reactor stopping
       rt_->idle_poller_release();
       return false;
     }
-    // Predicate re-check AFTER claiming the role: a publisher that saw the
-    // role inactive ordered its publish before our claim, so we see its
-    // work here; one that saw it active kicks the persistent eventfd.
-    // Either way nothing is lost (see IoReactor::try_adopt).
+    // Predicate re-check AFTER joining the count: a publisher that saw the
+    // count at zero ordered its publish before our join, so we see its
+    // work here; one that saw it non-zero kicks, and the kick waits in the
+    // epoll's ready list. Either way nothing is lost.
     if (sleep_ok()) {
-      // arg 1 distinguishes an epoll-adopted idle from an eventcount sleep.
+      // arg 1 distinguishes an epoll-parked idle from an eventcount sleep.
       ICILK_TRACE_RECORD(w.trace, obs::EventKind::kSleepBegin,
                          obs::TraceEvent::kNoLevel16, 1);
       obs::wd_publish_state(w.wd_state, obs::WdWorkerState::kSleeping,
                             static_cast<int>(w.level));
-      // Keep the role across empty rounds (timer fires, stale kicks): the
-      // role is only handed back once there is work to run or the reactor
-      // stops, so the I/O threads are not woken once per poll round.
+      // Stay parked across empty rounds (timer fires, stale kicks): leave
+      // only once there is work to run or the reactor stops.
       while (sleep_ok()) {
         if (!poller->poll_adopted()) break;
       }
@@ -125,6 +126,9 @@ class IdleWakeEngine {
                          obs::TraceEvent::kNoLevel16, 1);
     }
     poller->release_adopted();
+    // One stop kick reaches one parked worker; each worker that leaves on
+    // stop passes it to the next, so every one of them sees the flag.
+    if (stopping_.load(std::memory_order_seq_cst)) poller->kick();
     rt_->idle_poller_release();
     return true;  // caller's acquire loop re-checks its predicate
   }
@@ -133,6 +137,7 @@ class IdleWakeEngine {
   Runtime* rt_ = nullptr;
   EventCount ec_;
   std::atomic<std::uint64_t> wakeups_{0};  // futex wakes issued
+  std::atomic<bool> stopping_{false};      // set by stop_wake
 };
 
 }  // namespace icilk::policy

@@ -862,13 +862,6 @@ void Runtime::idle_poller_kick() {
   }
 }
 
-void Runtime::idle_poller_cover() {
-  if (IdleIoPoller* p = idle_poller_acquire()) {
-    p->cover();
-    idle_poller_release();
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Fiber pooling
 // ---------------------------------------------------------------------------

@@ -229,9 +229,10 @@ class Runtime {
   // Refcounted handout: clear_idle_poller() nulls the slot and then spins
   // until every in-flight acquire has released, so the reactor can quiesce
   // before its epoll fd dies regardless of scheduler/reactor teardown
-  // order. `worker_poller_active_` is a publisher-side hint: set while a
-  // worker holds the poller role, so completion publishers know a kick()
-  // may be needed without paying the refcount dance when no worker polls.
+  // order. `worker_pollers_` is a publisher-side hint: the number of
+  // workers parked in the registered poller's epoll, so completion
+  // publishers know a kick() may be needed without paying the refcount
+  // dance when no worker is parked.
 
   void set_idle_poller(IdleIoPoller* p) {
     idle_poller_.store(p, std::memory_order_seq_cst);
@@ -249,17 +250,14 @@ class Runtime {
   void idle_poller_release() {
     idle_poller_refs_.fetch_sub(1, std::memory_order_release);
   }
-  /// Kick the current worker-poller, if any (pin + kick + release).
+  /// Kick one parked worker-poller, if any (pin + kick + release).
   void idle_poller_kick();
-  /// Resume one standing-by I/O thread on the registered poller's epoll
-  /// (burst coverage; see IdleIoPoller::cover).
-  void idle_poller_cover();
-  bool worker_poller_active() const noexcept {
-    return worker_poller_active_.load(std::memory_order_seq_cst);
+  int worker_pollers() const noexcept {
+    return worker_pollers_.load(std::memory_order_seq_cst);
   }
-  /// Reactor-side: set while a worker holds the poller role.
-  void set_worker_poller_active(bool v) noexcept {
-    worker_poller_active_.store(v, std::memory_order_seq_cst);
+  /// Reactor-side: +1 when a worker parks in the epoll, -1 when it leaves.
+  void add_worker_pollers(int delta) noexcept {
+    worker_pollers_.fetch_add(delta, std::memory_order_seq_cst);
   }
 
   Worker& worker_for_test(int i) { return *workers_[i]; }
@@ -348,7 +346,7 @@ class Runtime {
   // idle-poller registry (see the public accessors above)
   std::atomic<IdleIoPoller*> idle_poller_{nullptr};
   std::atomic<int> idle_poller_refs_{0};
-  std::atomic<bool> worker_poller_active_{false};
+  std::atomic<int> worker_pollers_{0};
 
   CacheAligned<std::atomic<std::int64_t>> census_[PriorityBitfield::kMaxLevels];
 };

@@ -56,13 +56,13 @@ struct RuntimeConfig {
   /// flag inversions dynamically: a get() whose caller outranks the
   /// future's routine counts (and logs, once) an inversion.
   bool detect_priority_inversions = false;
-  /// Let ONE idle worker adopt the reactor's epoll instead of sleeping
+  /// Park every idle worker in the reactor's epoll instead of sleeping
   /// (core/idle_poller.hpp): the event that carries a request then wakes
   /// the worker that will execute it — no I/O-thread hop, no futex relay —
   /// matching the per-request wake count of a classic thread-per-epoll
-  /// server. The dedicated I/O threads stand by while a worker polls and
-  /// take over whenever all workers are busy. Scheduler-dependent (Prompt
-  /// uses it; Adaptive's quantum poll does not).
+  /// server. The dedicated I/O threads stand by while any worker is parked
+  /// and take over whenever all workers are busy. Scheduler-dependent
+  /// (Prompt and MultiQueue use it; Adaptive's quantum poll does not).
   bool worker_io_polling = true;
   /// Record scheduler events into the per-worker trace rings from startup
   /// (src/obs/trace.hpp). Can also be toggled at runtime via

@@ -35,12 +35,15 @@ constexpr std::uint64_t kTimerMarkHigh = 0xFFFFFFFFull;
 constexpr std::uint64_t kWorkerKickMark = (kTimerMarkHigh << 32) | 0xFFFFFFFEull;
 constexpr std::uint32_t kGenMask = 0x7FFFFFFFu;
 
-/// Standby re-check period. The coverage handover to standing-by I/O
-/// threads is demand-triggered (ensure_covered on every arm/timer and the
-/// scheduler's surplus flush); this timed re-check only bounds the
-/// staleness when one of those best-effort wakes loses its race — it is
-/// the promptness backstop, not the mechanism.
-constexpr std::int64_t kStandbyRecheckNs = 5'000'000;  // 5 ms
+/// Standby re-check periods: how long an fd can become ready with every
+/// worker busy before a standing-by I/O thread notices that no worker is
+/// parked and polls the epoll itself. Worker-side arms do not wake the
+/// standby (core/idle_poller.hpp), so this is the coverage mechanism for
+/// the all-busy case, not only a backstop for lost wakes. I/O thread 0
+/// re-checks every 200 µs and the others keep 5 ms, so an idle server pays
+/// ~5000 + (n-1)*200 futex timeouts per second rather than n*5000.
+constexpr std::int64_t kStandbyRecheckNs = 200'000;        // 200 µs
+constexpr std::int64_t kPeerStandbyRecheckNs = 5'000'000;  // 5 ms
 
 std::uint64_t pack_fd(int fd, std::uint32_t gen) {
   return (static_cast<std::uint64_t>(gen & kGenMask) << 32) |
@@ -66,10 +69,15 @@ IoReactor::IoReactor(Runtime& rt, int num_threads) : rt_(rt) {
   ev.events = EPOLLIN;
   ev.data.u64 = kWakeMark;
   ::epoll_ctl(epfd_, EPOLL_CTL_ADD, wake_fd_, &ev);
-  // Level-triggered on purpose: the kick must keep the epoll readable
-  // until the ROLE HOLDER drains it, surviving any adopt/release race.
+  // Edge-triggered on purpose: each kick() write is one delivery to ONE
+  // exclusive epoll_wait waiter. A level-triggered fd would be re-queued
+  // after every harvest and wake the parked workers one after another
+  // until somebody read it. A write with nobody waiting stays on the
+  // epoll's ready list for the next epoll_wait, so a kick racing a
+  // worker's join is never lost. The counter is never read (2^64 kicks
+  // before it saturates).
   epoll_event kev{};
-  kev.events = EPOLLIN;
+  kev.events = EPOLLIN | EPOLLET;
   kev.data.u64 = kWorkerKickMark;
   ::epoll_ctl(epfd_, EPOLL_CTL_ADD, worker_kick_fd_, &kev);
 
@@ -199,23 +207,28 @@ ssize_t IoReactor::do_syscall(OpKind kind, int fd, void* buf,
 }
 
 Future<ssize_t> IoReactor::submit(OpKind kind, int fd, void* buf,
-                                  const void* cbuf, std::size_t len) {
+                                  const void* cbuf, std::size_t len,
+                                  std::uint64_t* done_ns) {
   ops_submitted_.fetch_add(1, std::memory_order_relaxed);
   auto fut = Ref<FutureState<ssize_t>>::make(rt_);
   const ssize_t r = do_syscall(kind, fd, buf, cbuf, len);
   if (r != -EAGAIN) {
     // Inline fast path: no Op, no slot, no epoll — just the syscall.
+    if (done_ns != nullptr) *done_ns = now_ns();
     ops_inline_.fetch_add(1, std::memory_order_relaxed);
     fut->set_value(r);
     fut->complete();
   } else {
-    arm(OpPool::create(kind, fd, buf, cbuf, len, fut));
+    Op* op = OpPool::create(kind, fd, buf, cbuf, len, fut);
+    op->done_ns = done_ns;
+    arm(op);
   }
   return Future<ssize_t>(std::move(fut));
 }
 
-Future<ssize_t> IoReactor::async_read(int fd, void* buf, std::size_t len) {
-  return submit(OpKind::Read, fd, buf, nullptr, len);
+Future<ssize_t> IoReactor::async_read(int fd, void* buf, std::size_t len,
+                                      std::uint64_t* done_ns) {
+  return submit(OpKind::Read, fd, buf, nullptr, len, done_ns);
 }
 
 Future<ssize_t> IoReactor::async_write(int fd, const void* buf,
@@ -262,8 +275,12 @@ void IoReactor::arm(Op* op) {
     update_interest(fd, s);
   }
   // The interest is visible in the epoll; make sure someone is (or will
-  // be) waiting on it. Off the slot lock — this can issue a futex wake.
-  ensure_covered();
+  // be) waiting on it. A worker arming here is about to suspend the task
+  // and will run other work or park in the epoll itself; while every
+  // worker is busy a standing-by I/O thread takes over within
+  // kStandbyRecheckNs. Other threads cover at once (off the slot lock —
+  // this can issue a futex wake).
+  if (this_worker() == nullptr) ensure_covered();
 }
 
 void IoReactor::update_interest(int fd, Slot& s) {
@@ -511,6 +528,7 @@ void IoReactor::handle_event(int fd, std::uint32_t gen, std::uint32_t events,
       Op& op = *s->rd;
       const ssize_t r = do_syscall(op.kind, op.fd, op.buf, nullptr, op.len);
       if (r != -EAGAIN) {
+        if (op.done_ns != nullptr) *op.done_ns = now_ns();
         op.fut->set_value(r);
         done_rd = std::exchange(s->rd, nullptr);
       }
@@ -571,15 +589,10 @@ bool IoReactor::poll_once(obs::TraceRing* ring, bool for_worker) {
       continue;
     }
     if (d == kWorkerKickMark) {
-      // Drained only by the role holder; an I/O thread may drain a STALE
-      // kick (role already released — the released worker re-checks the
-      // bitfield anyway) but must never eat a live one out from under the
-      // adopted worker.
-      if (for_worker || !worker_polling_.load(std::memory_order_seq_cst)) {
-        std::uint64_t drain;
-        while (::read(worker_kick_fd_, &drain, sizeof(drain)) > 0) {
-        }
-      }
+      // A parked worker that takes a kick just returns to its acquire
+      // loop. An I/O thread that catches one meant for a parked worker
+      // passes it on (kick() is a no-op when none is parked).
+      if (!for_worker) kick();
       continue;
     }
     if ((d >> 32) == kTimerMarkHigh) {
@@ -605,22 +618,24 @@ void IoReactor::io_thread_main(int thread_idx) {
   obs::ThreadScope scope(ring, obs::ProfThreadKind::kIo, thread_idx,
                          rt_.profiler());
   while (!stop_.load(std::memory_order_acquire)) {
-    if (worker_polling_.load(std::memory_order_seq_cst)) {
-      // A worker holds the poller role: stand by off-epoll so the herd
-      // doesn't burn context switches racing the worker for events.
-      // Eventcount protocol: a cover/stop landing in the announce→commit
-      // window bumps the epoch, so the standby can't sleep through it;
-      // the timed commit bounds the staleness of the role observation
-      // (the worker releases WITHOUT notifying — coverage resumes on
-      // demand via ensure_covered, or within this period at the latest).
+    if (worker_pollers_.load(std::memory_order_seq_cst) > 0) {
+      // Workers are parked in the epoll: stand by off-epoll so this thread
+      // does not compete with them for events and relay what it wins
+      // through the scheduler. Eventcount protocol: an ensure_covered or
+      // stop wake landing in the announce→commit window bumps the epoch,
+      // so the standby can't sleep through it; the timed commit bounds the
+      // staleness of the count observation (workers leave the epoll
+      // WITHOUT notifying — see release_adopted).
       obs::prof_enter_bucket(obs::ProfBucket::kReactorWait);
       polling_ios_.fetch_sub(1, std::memory_order_seq_cst);
       const std::uint32_t key = standby_ec_.prepare_wait();
-      if (!worker_polling_.load(std::memory_order_seq_cst) ||
+      if (worker_pollers_.load(std::memory_order_seq_cst) == 0 ||
           stop_.load(std::memory_order_acquire)) {
         standby_ec_.cancel_wait();
       } else {
-        standby_ec_.commit_wait_for(key, kStandbyRecheckNs);
+        standby_ec_.commit_wait_for(key, thread_idx == 0
+                                             ? kStandbyRecheckNs
+                                             : kPeerStandbyRecheckNs);
       }
       polling_ios_.fetch_add(1, std::memory_order_seq_cst);
       continue;
@@ -635,19 +650,14 @@ void IoReactor::io_thread_main(int thread_idx) {
 
 bool IoReactor::try_adopt() {
   if (stop_.load(std::memory_order_acquire)) return false;
-  bool expected = false;
-  if (!worker_polling_.compare_exchange_strong(expected, true,
-                                               std::memory_order_seq_cst)) {
-    return false;
-  }
-  // Publisher-visible hint BEFORE the caller's predicate re-check: a
-  // publisher that misses the hint (loads false) ordered its bit set
-  // before this store, so the adopting worker's re-check sees the bit; a
-  // publisher that sees the hint kicks the (persistent) eventfd. Either
-  // way no wake is lost. I/O threads drift to standby on their next
-  // natural wakeup — no eager kick; a transient double-poll is harmless
-  // (EPOLLONESHOT arms each fd for one deliveree).
-  rt_.set_worker_poller_active(true);
+  // Publisher-visible BEFORE the caller's predicate re-check: a publisher
+  // that misses the count ordered its bit set before this increment, so
+  // the joining worker's re-check sees the bit; a publisher that sees it
+  // kicks. Either way no wake is lost. A standing-by I/O thread that is
+  // still polling drifts to standby after its next round; a transient
+  // double-poll is harmless (EPOLLONESHOT arms each fd for one deliveree).
+  worker_pollers_.fetch_add(1, std::memory_order_seq_cst);
+  rt_.add_worker_pollers(1);
   worker_polls_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
@@ -658,51 +668,33 @@ bool IoReactor::poll_adopted() {
 }
 
 void IoReactor::release_adopted() {
-  // Drain the kick channel before dropping the role: kicks aimed at this
-  // tenure must not fire a spurious epoll wake at the next poller. A kick
-  // racing this window survives as a stale readable fd that the next
-  // poller drains; the releasing worker re-checks the bitfield on return,
-  // so the signal the kick carried is re-observed there.
-  std::uint64_t drain;
-  while (::read(worker_kick_fd_, &drain, sizeof(drain)) > 0) {
-  }
-  rt_.set_worker_poller_active(false);
-  worker_polling_.store(false, std::memory_order_seq_cst);
-  // Deliberately NO standby notify here: the releasing worker is leaving
-  // to execute the work it just drained, and at low load it re-adopts
-  // right after — waking an I/O thread per request would put a futex
-  // round-trip back on every handover (measured: it costs ~4x at fig1
-  // p50 on the 1-core bench host). Coverage while workers stay busy is
-  // demand-driven instead: ensure_covered() on every arm/timer, the
-  // scheduler's surplus flush via cover(), and the timed standby re-check
-  // as the bound on all lost races.
+  rt_.add_worker_pollers(-1);
+  worker_pollers_.fetch_sub(1, std::memory_order_seq_cst);
+  // Deliberately NO standby notify here, even when the last parked worker
+  // leaves: the releasing worker is leaving to execute the work it just
+  // drained, and at low load it parks again right after — waking an I/O
+  // thread per request would put a futex round-trip back on every
+  // handover (measured: it costs ~4x at fig1 p50 on the 1-core bench
+  // host). While every worker is busy, a standing-by I/O thread finds the
+  // count at zero within kStandbyRecheckNs and polls.
 }
 
 void IoReactor::kick() {
-  if (!worker_polling_.load(std::memory_order_seq_cst)) return;
+  if (worker_pollers_.load(std::memory_order_seq_cst) == 0) return;
   const std::uint64_t one = 1;
   [[maybe_unused]] ssize_t n =
       ::write(worker_kick_fd_, &one, sizeof(one));
 }
 
-void IoReactor::cover() {
-  // Scheduler-side burst hint: called while the worker-poller is still
-  // mid-flush (role not yet released), so no role check here — just put
-  // one standing-by I/O thread back on the epoll. If it observes the role
-  // still held it re-parks, and the timed standby bounds that stale
-  // observation.
-  standby_ec_.notify_one();
-}
-
 void IoReactor::ensure_covered() {
-  if (worker_polling_.load(std::memory_order_seq_cst)) return;
+  if (worker_pollers_.load(std::memory_order_seq_cst) > 0) return;
   if (polling_ios_.load(std::memory_order_seq_cst) > 0) return;
   // Everyone is standing by and no worker polls: new epoll interest was
   // just made visible with nobody to harvest it. Resume one I/O thread.
   // A thread that decremented polling_ios_ but has not yet announced on
   // the eventcount can miss this notify — that lost race is bounded by
-  // the standby period, not by request latency, and is the documented
-  // trade for keeping this check off the no-contention fast path.
+  // the standby period, and is the documented trade for keeping this
+  // check off the no-contention fast path.
   standby_ec_.notify_one();
 }
 

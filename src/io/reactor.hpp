@@ -65,8 +65,11 @@ class IoReactor final : public IdleIoPoller {
   // ---- one-shot asynchronous operations (futures) ----
 
   /// Reads up to `len` bytes once the fd is readable. Resolves to the byte
-  /// count (0 = EOF) or -errno. fd must be nonblocking.
-  Future<ssize_t> async_read(int fd, void* buf, std::size_t len);
+  /// count (0 = EOF) or -errno. fd must be nonblocking. When `done_ns` is
+  /// non-null it receives now_ns() taken as the read syscall returned
+  /// (inline or on the poller thread), visible once the future resolves.
+  Future<ssize_t> async_read(int fd, void* buf, std::size_t len,
+                             std::uint64_t* done_ns = nullptr);
 
   /// Writes up to `len` bytes once the fd is writable.
   Future<ssize_t> async_write(int fd, const void* buf, std::size_t len);
@@ -98,8 +101,9 @@ class IoReactor final : public IdleIoPoller {
 
   // ---- synchronous task-facing wrappers (block the TASK, not the worker) -
 
-  ssize_t read_some(int fd, void* buf, std::size_t len) {
-    return async_read(fd, buf, len).get();
+  ssize_t read_some(int fd, void* buf, std::size_t len,
+                    std::uint64_t* done_ns = nullptr) {
+    return async_read(fd, buf, len, done_ns).get();
   }
   ssize_t write_some(int fd, const void* buf, std::size_t len) {
     return async_write(fd, buf, len).get();
@@ -136,19 +140,19 @@ class IoReactor final : public IdleIoPoller {
 
   // ---- IdleIoPoller (core/idle_poller.hpp) ----
   //
-  // Registered with the runtime (when cfg.worker_io_polling) so an idle
-  // worker can adopt this epoll instead of sleeping: the readiness event
+  // Registered with the runtime (when cfg.worker_io_polling) so idle
+  // workers park in this epoll instead of sleeping: the readiness event
   // that carries a request then wakes the worker that will execute it —
-  // no I/O-thread relay hop. While a worker holds the role the dedicated
-  // I/O threads stand by on `standby_ec_`; they take back over as soon as
-  // the role is free (so the all-workers-busy regime is unchanged).
+  // no I/O-thread relay hop. While any worker is parked the dedicated I/O
+  // threads stand by on `standby_ec_`; once none is, they poll again
+  // within kStandbyRecheckNs (so the all-workers-busy regime still has a
+  // reader).
   bool try_adopt() override;
   bool poll_adopted() override;
   void release_adopted() override;
   void kick() override;
-  void cover() override;
 
-  /// Times a worker adopted the poller role (gauge for `stats icilk`).
+  /// Times a worker parked in this epoll (gauge for `stats icilk`).
   std::uint64_t worker_polls_for_test() const {
     return worker_polls_.load(std::memory_order_relaxed);
   }
@@ -172,6 +176,8 @@ class IoReactor final : public IdleIoPoller {
     /// none — carried to the I/O thread so the completion record is
     /// attributable to the request.
     std::uint64_t req_id = 0;
+    /// Where to stamp the syscall's return time (async_read), or null.
+    std::uint64_t* done_ns = nullptr;
   };
 
   using Table = FdTable<Op>;
@@ -203,7 +209,7 @@ class IoReactor final : public IdleIoPoller {
                             std::size_t len);
 
   Future<ssize_t> submit(OpKind kind, int fd, void* buf, const void* cbuf,
-                         std::size_t len);
+                         std::size_t len, std::uint64_t* done_ns = nullptr);
   /// Parks the op in its fd slot and (re)arms epoll interest.
   void arm(Op* op);
   void update_interest(int fd, Slot& s);  // caller holds s.mu
@@ -212,10 +218,11 @@ class IoReactor final : public IdleIoPoller {
   /// worker). Returns false when the reactor is stopping (hard epoll error
   /// or the stop wake); EINTR counts as a (empty) successful round.
   bool poll_once(obs::TraceRing* ring, bool for_worker);
-  /// Arms the demand edge of epoll coverage: if neither a worker-poller
+  /// Arms the demand edge of epoll coverage: if neither a parked worker
   /// nor any I/O thread is currently polling (everyone stood by), resume
-  /// one I/O thread. Called after making new epoll interest visible
-  /// (arm / timer); best-effort — the timed standby bounds a lost race.
+  /// one I/O thread. Called after making new epoll interest visible from
+  /// a non-worker thread or a timer; best-effort — the timed standby
+  /// bounds a lost race.
   void ensure_covered();
   void handle_event(int fd, std::uint32_t gen, std::uint32_t events,
                     obs::TraceRing* ring);
@@ -226,17 +233,18 @@ class IoReactor final : public IdleIoPoller {
   Runtime& rt_;
   int epfd_ = -1;
   int wake_fd_ = -1;
-  /// Kick channel for the adopted worker: a second eventfd in the epoll
-  /// set (level-triggered, drained only by the role holder). An eventfd
-  /// write stays readable across the adopt→epoll_wait window, so a kick
-  /// racing the adoption is never lost — the property a futex wake lacks.
+  /// Kick channel for parked workers: a second eventfd in the epoll set
+  /// (edge-triggered: one write wakes one waiter). The write waits in the
+  /// epoll's ready list across the join→epoll_wait window, so a kick
+  /// racing a worker's join is never lost — the property a futex wake
+  /// lacks.
   int worker_kick_fd_ = -1;
   std::atomic<bool> stop_{false};
-  /// The single worker-poller token (see IdleIoPoller overrides).
-  std::atomic<bool> worker_polling_{false};
-  EventCount standby_ec_;  // I/O threads park here while a worker polls
+  /// Workers currently parked in this epoll (see IdleIoPoller overrides).
+  std::atomic<int> worker_pollers_{0};
+  EventCount standby_ec_;  // I/O threads park here while workers poll
   /// I/O threads NOT standing by (initialized to the thread count);
-  /// `worker_polling_ || polling_ios_ > 0` means the epoll is covered.
+  /// `worker_pollers_ > 0 || polling_ios_ > 0` means the epoll is covered.
   std::atomic<int> polling_ios_{0};
   bool registered_poller_ = false;
   std::atomic<std::uint64_t> worker_polls_{0};

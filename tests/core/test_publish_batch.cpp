@@ -144,12 +144,13 @@ struct PollerFixture {
     rt = std::make_unique<Runtime>(cfg, make_scheduler(sched));
     reactor = std::make_unique<IoReactor>(*rt);
   }
-  /// Waits for an idle worker to adopt the epoll; false on timeout.
-  bool wait_adopted(int timeout_ms = 2000) {
+  /// Waits until at least `n` idle workers are parked in the epoll;
+  /// false on timeout.
+  bool wait_adopted(int timeout_ms = 2000, int n = 1) {
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::milliseconds(timeout_ms);
     while (std::chrono::steady_clock::now() < deadline) {
-      if (rt->worker_poller_active()) return true;
+      if (rt->worker_pollers() >= n) return true;
       ::usleep(200);
     }
     return false;
@@ -158,7 +159,7 @@ struct PollerFixture {
   std::unique_ptr<IoReactor> reactor;
 };
 
-// While a worker is parked inside epoll_wait as the adopted poller, a
+// While a worker is parked inside epoll_wait, a
 // compute submit from an external thread has no eventcount sleeper to
 // notify; it must reach the worker through the eventfd kick. The kick's
 // persistent readability is what makes this lossless — a missed kick
@@ -199,6 +200,103 @@ TEST_P(PollerHandoffTest, AdoptedWorkerDrainsOwnCompletion) {
     ASSERT_EQ(::write(fds[1], &payload, 1), 1);
     f.get();
     EXPECT_EQ(got.load(std::memory_order_acquire), payload);
+  }
+  fx.reactor->close_fd(fds[0]);
+  ::close(fds[1]);
+}
+
+// Every idle worker parks in the epoll, not just one: with two readers
+// suspended, both workers are parked at once. Each outside pipe write wakes
+// one of them (the kernel's exclusive epoll wake) and both readers resume;
+// with both parked again, an external submit has no eventcount sleeper to
+// notify and must reach one of them through the kick.
+TEST_P(PollerHandoffTest, TwoParkedWorkersResumeBothReaders) {
+  PollerFixture fx(GetParam());
+  int a[2], b[2];
+  ASSERT_EQ(::pipe2(a, O_NONBLOCK | O_CLOEXEC), 0);
+  ASSERT_EQ(::pipe2(b, O_NONBLOCK | O_CLOEXEC), 0);
+  const auto reader = [&fx](int fd) {
+    char c = 0;
+    EXPECT_EQ(fx.reactor->read_some(fd, &c, 1), 1);
+    return c;
+  };
+  for (int round = 0; round < 20; ++round) {
+    auto fa = fx.rt->submit(0, [&] { return reader(a[0]); });
+    auto fb = fx.rt->submit(0, [&] { return reader(b[0]); });
+    ASSERT_TRUE(fx.wait_adopted(2000, 2)) << "round " << round;
+    const char ca = static_cast<char>('a' + round);
+    const char cb = static_cast<char>('A' + round);
+    ASSERT_EQ(::write(a[1], &ca, 1), 1);
+    ASSERT_EQ(::write(b[1], &cb, 1), 1);
+    EXPECT_EQ(fa.get(), ca);
+    EXPECT_EQ(fb.get(), cb);
+    ASSERT_TRUE(fx.wait_adopted(2000, 2)) << "round " << round;
+    ASSERT_EQ(fx.rt->submit(0, [round] { return round; }).get(), round);
+  }
+  fx.reactor->close_fd(a[0]);
+  fx.reactor->close_fd(b[0]);
+  ::close(a[1]);
+  ::close(b[1]);
+}
+
+// Coverage while every worker is busy. Both workers grind level-0
+// spawn/sync trees that never go idle; a level-1 reader arms its read from
+// a worker (which no longer wakes an I/O thread) and suspends. A
+// standing-by I/O thread must notice that no worker is parked and poll, so
+// an outside write resumes the reader within kResumeBound — the standby
+// re-check is 200 µs and the grinders' promptness checks pick the level-1
+// deque up at their next spawn. If coverage waited for a worker to go
+// idle, the reader would not run until the grinders stop.
+TEST_P(PollerHandoffTest, AllBusyWorkersStillResumeReader) {
+  constexpr auto kResumeBound = std::chrono::milliseconds(50);
+  PollerFixture fx(GetParam());
+  int fds[2];
+  ASSERT_EQ(::pipe2(fds, O_NONBLOCK | O_CLOEXEC), 0);
+  for (int round = 0; round < 5; ++round) {
+    std::atomic<bool> stop{false};
+    std::vector<Future<void>> grinders;
+    for (int g = 0; g < 2; ++g) {
+      grinders.push_back(fx.rt->submit(0, [&stop] {
+        while (!stop.load(std::memory_order_relaxed)) {
+          for (int i = 0; i < 2; ++i) {
+            spawn([] {
+              volatile int x = 0;
+              for (int k = 0; k < 200; ++k) x = x + k;
+            });
+          }
+          sync();
+        }
+      }));
+    }
+    std::atomic<bool> armed{false};
+    std::atomic<std::int64_t> resumed_ns{0};
+    auto reader = fx.rt->submit(1, [&] {
+      armed.store(true, std::memory_order_release);
+      char c = 0;
+      EXPECT_EQ(fx.reactor->read_some(fds[0], &c, 1), 1);
+      resumed_ns.store(std::chrono::steady_clock::now()
+                           .time_since_epoch()
+                           .count(),
+                       std::memory_order_release);
+    });
+    while (!armed.load(std::memory_order_acquire)) ::usleep(100);
+    ::usleep(20000);  // the reader is parked in the fd table by now
+    EXPECT_EQ(fx.rt->worker_pollers(), 0) << "a worker went idle";
+    const auto t0 = std::chrono::steady_clock::now();
+    const char payload = 'g';
+    ASSERT_EQ(::write(fds[1], &payload, 1), 1);
+    while (resumed_ns.load(std::memory_order_acquire) == 0 &&
+           std::chrono::steady_clock::now() - t0 < std::chrono::seconds(2)) {
+      ::usleep(100);
+    }
+    const std::int64_t done = resumed_ns.load(std::memory_order_acquire);
+    stop.store(true, std::memory_order_relaxed);
+    for (auto& f : grinders) f.get();
+    reader.get();
+    ASSERT_NE(done, 0) << "reader never resumed while workers were busy";
+    const auto latency = std::chrono::steady_clock::duration(done) -
+                         t0.time_since_epoch();
+    EXPECT_LT(latency, kResumeBound) << "round " << round;
   }
   fx.reactor->close_fd(fds[0]);
   ::close(fds[1]);
