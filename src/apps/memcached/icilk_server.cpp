@@ -14,6 +14,7 @@
 #include "core/prompt_scheduler.hpp"
 #include "net/socket.hpp"
 #include "obs/exposition.hpp"
+#include "obs/json.hpp"
 #include "obs/spanprof.hpp"
 
 namespace icilk::apps {
@@ -128,53 +129,49 @@ void ICilkMcServer::connection_routine(int fd) {
       ++commands;
       if (req.verb == kv::Verb::Stats) {
         if (!req.keys.empty() && req.keys[0] == "icilk") {
-          if (req.keys.size() > 1 && req.keys[1] == "latency") {
+          std::string reply;
+          const obs::StatLines st(reply, "icilk_", "\r\n");
+          const std::string sub = req.keys.size() > 1 ? req.keys[1] : "";
+          if (sub == "latency") {
             // `stats icilk latency [reset]`: request-latency attribution
             // only — per-level/per-phase percentiles plus worst-K
             // timelines. `reset` renders first, then drains the worst-K
             // reservoirs so long soaks shed stale pre-burst outliers.
-            out += obs::latency_stats_text(rt_->metrics(), "icilk_", "\r\n");
+            reply += obs::latency_stats_text(rt_->metrics(), "icilk_", "\r\n");
             if (req.keys.size() > 2 && req.keys[2] == "reset") {
               rt_->metrics().reset_worst();
-              out += "STAT icilk_latency_reset 1\r\n";
+              st.add("latency_reset", 1);
             }
-          } else if (req.keys.size() > 1 && req.keys[1] == "parallelism") {
+          } else if (sub == "parallelism") {
             // `stats icilk parallelism`: per-level work/span/parallelism
             // percentiles plus the worst-K LEAST-parallel requests
             // (obs/spanprof.hpp). Empty (just the flag) when the profiler
             // is compiled out or no request completed yet.
-            out += std::string("STAT icilk_sp_compiled_in ") +
-                   (obs::spanprof_compiled_in() ? '1' : '0') + "\r\n";
-            out += obs::parallelism_stats_text(rt_->metrics(), "icilk_",
-                                               "\r\n");
-          } else if (req.keys.size() > 1 && req.keys[1] == "timeseries") {
+            st.add("sp_compiled_in", obs::spanprof_compiled_in());
+            reply += obs::parallelism_stats_text(rt_->metrics(), "icilk_",
+                                                 "\r\n");
+          } else if (sub == "timeseries") {
             // `stats icilk timeseries`: the latest closed epoch of the
             // windowed telemetry ring (per-level p50/p99/max + counter
             // deltas); `/timeseries` on the metrics port carries the
             // full ring as JSON.
             if (const obs::TimeSeries* ts = rt_->timeseries()) {
-              out += ts->stats_text("icilk_", "\r\n");
+              reply += ts->stats_text("icilk_", "\r\n");
             } else {
-              out += "STAT icilk_ts_running 0\r\n";
+              st.add("ts_running", 0);
             }
-          } else if (req.keys.size() > 1 && req.keys[1] == "health") {
+          } else if (sub == "health") {
             // `stats icilk health`: watchdog sampler state, invariant
             // trips, and the idle-sleep counters the detectors watch.
-            out += health_stats_text();
-          } else if (req.keys.size() > 1 && req.keys[1] == "dump") {
+            reply += health_stats_text();
+          } else if (sub == "dump") {
             // `stats icilk dump`: force a flight-recorder bundle now.
-            if (obs::Watchdog* wd = rt_->watchdog()) {
-              const std::string path = wd->dump_now("stats_icilk_dump");
-              out += "STAT icilk_wd_dump_ok ";
-              out += path.empty() ? '0' : '1';
-              out += "\r\n";
-              if (!path.empty()) {
-                out += "STAT icilk_wd_dump_path " + path + "\r\n";
-              }
-            } else {
-              out += "STAT icilk_wd_dump_ok 0\r\n";
-            }
-          } else if (req.keys.size() > 1 && req.keys[1] == "profile") {
+            obs::Watchdog* wd = rt_->watchdog();
+            const std::string path =
+                wd != nullptr ? wd->dump_now("stats_icilk_dump") : "";
+            st.add("wd_dump_ok", !path.empty());
+            if (!path.empty()) st.add("wd_dump_path", path);
+          } else if (sub == "profile") {
             // `stats icilk profile [seconds] [hz]`: open a profiler
             // window (this handler task sleeps on the reactor; workers
             // keep serving), write the merged folded-stack file next to
@@ -198,21 +195,18 @@ void ICilkMcServer::connection_routine(int fd) {
                                        std::to_string(rep.window_ns) +
                                        ".folded";
               const bool wrote = obs::Profiler::write_folded(rep, path);
-              out += std::string("STAT icilk_prof_ok ") +
-                     (wrote ? '1' : '0') + "\r\n";
-              out += "STAT icilk_prof_samples " +
-                     std::to_string(rep.samples) + "\r\n";
-              out += "STAT icilk_prof_dropped " +
-                     std::to_string(rep.dropped) + "\r\n";
-              if (wrote) out += "STAT icilk_prof_path " + path + "\r\n";
+              st.add("prof_ok", wrote).add("prof_samples", rep.samples);
+              st.add("prof_dropped", rep.dropped);
+              if (wrote) st.add("prof_path", path);
             } else {
               // Compiled out, or a window is already open.
-              out += "STAT icilk_prof_ok 0\r\n";
+              st.add("prof_ok", 0);
             }
           } else {
             // `stats icilk`: only the scheduler-observability group.
-            out += icilk_stats_text();
+            reply += icilk_stats_text();
           }
+          out += reply;
           out += "END\r\n";
           continue;
         }
@@ -306,70 +300,41 @@ void ICilkMcServer::snapshot_routine() {
 std::string ICilkMcServer::icilk_stats_text() const {
   const StatsSnapshot s = rt_->stats_snapshot();
   std::string out;
+  const obs::StatLines st(out, "icilk_", "\r\n");
   // Active policy first: every capture self-identifies its scheduler.
-  out += "STAT icilk_scheduler ";
-  out += rt_->scheduler().name();
-  out += "\r\n";
-  const auto add = [&out](const char* name, std::uint64_t v) {
-    out += "STAT icilk_";
-    out += name;
-    out += ' ';
-    out += std::to_string(v);
-    out += "\r\n";
-  };
-  const auto add_s = [&out](const char* name, double seconds) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "STAT icilk_%s %.6f\r\n", name, seconds);
-    out += buf;
-  };
-  add("steals", s.steals);
-  add("mugs", s.mugs);
-  add("abandons", s.abandons);
-  add("spawns", s.spawns);
-  add("sleeps", s.sleeps);
-  add("failed_probes", s.failed_probes);
-  add("gets_suspended", s.gets_suspended);
-  add("tasks_run", s.tasks_run);
-  add("deques_created", s.deques_created);
-  add_s("work_s", s.work_s);
-  add_s("sched_s", s.sched_s);
-  add_s("waste_s", s.waste_s);
-  add("io_ops_submitted", reactor_->ops_submitted_for_test());
-  add("io_ops_inline", reactor_->ops_inline_for_test());
+  st.add("scheduler", rt_->scheduler().name());
+  st.add("steals", s.steals).add("mugs", s.mugs).add("abandons", s.abandons);
+  st.add("spawns", s.spawns).add("sleeps", s.sleeps);
+  st.add("failed_probes", s.failed_probes);
+  st.add("gets_suspended", s.gets_suspended).add("tasks_run", s.tasks_run);
+  st.add("deques_created", s.deques_created);
+  st.fixed("work_s", s.work_s, 6).fixed("sched_s", s.sched_s, 6);
+  st.fixed("waste_s", s.waste_s, 6);
+  st.add("io_ops_submitted", reactor_->ops_submitted_for_test());
+  st.add("io_ops_inline", reactor_->ops_inline_for_test());
   // I/O fast-path counters: recycling pools, fd table, timer shards,
   // stack cache (PR 2; the fd/timer counters come via metrics().text()).
-  const auto add_pool = [&](const char* which, PoolCountersSnapshot p) {
-    char name[64];
-    std::snprintf(name, sizeof(name), "%s_pool_hits", which);
-    add(name, p.hits);
-    std::snprintf(name, sizeof(name), "%s_pool_misses", which);
-    add(name, p.misses);
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "STAT icilk_%s_pool_hit_rate %.4f\r\n",
-                  which, p.hit_rate());
-    out += buf;
+  const auto add_pool = [&st](const std::string& which,
+                              PoolCountersSnapshot p) {
+    st.add(which + "_pool_hits", p.hits)
+        .add(which + "_pool_misses", p.misses)
+        .fixed(which + "_pool_hit_rate", p.hit_rate(), 4);
   };
   add_pool("io_op", IoReactor::op_pool_stats());
   add_pool("fut", IoReactor::future_pool_stats());
   const auto stk = rt_->stack_pool().cache_stats();
-  add("stack_local_hits", stk.local_hits);
-  add("stack_global_hits", stk.global_hits);
-  add("stack_misses", stk.misses);
-  {
-    const auto depths = reactor_->timer_shard_depths();
-    for (std::size_t i = 0; i < depths.size(); ++i) {
-      if (depths[i] != 0) {
-        out += "STAT icilk_io_timer_depth_s" + std::to_string(i) + " " +
-               std::to_string(depths[i]) + "\r\n";
-      }
+  st.add("stack_local_hits", stk.local_hits)
+      .add("stack_global_hits", stk.global_hits)
+      .add("stack_misses", stk.misses);
+  const auto depths = reactor_->timer_shard_depths();
+  for (std::size_t i = 0; i < depths.size(); ++i) {
+    if (depths[i] != 0) {
+      st.add("io_timer_depth_s" + std::to_string(i), depths[i]);
     }
   }
   for (int k = 0; k < cfg_.rt.num_levels; ++k) {
     const std::int64_t c = rt_->census(static_cast<Priority>(k));
-    if (c != 0) {
-      out += "STAT icilk_l" + std::to_string(k) + "_census " +
-             std::to_string(c) + "\r\n";
-    }
+    if (c != 0) st.add("l" + std::to_string(k) + "_census", c);
   }
   // Per-level counters and promptness/aging percentiles.
   out += rt_->metrics().text("icilk_", "\r\n");
@@ -378,32 +343,26 @@ std::string ICilkMcServer::icilk_stats_text() const {
   // Trace-ring overflow: nonzero dropped means the rings wrapped and the
   // Chrome trace / flow view is incomplete for the oldest events.
   for (const auto& r : rt_->trace_sink().ring_stats()) {
-    if (r.dropped != 0) {
-      out += "STAT icilk_trace_dropped_" + r.name + " " +
-             std::to_string(r.dropped) + "\r\n";
-    }
+    if (r.dropped != 0) st.add("trace_dropped_" + r.name, r.dropped);
   }
   return out;
 }
 
 std::string ICilkMcServer::health_stats_text() const {
   std::string out;
+  const obs::StatLines st(out, "icilk_", "\r\n");
   // Idle-sleep exports straight from the prompt scheduler (present even
   // when the watchdog is off — the fix this surface exists to expose).
   if (const auto* ps =
           dynamic_cast<const PromptScheduler*>(&rt_->scheduler())) {
-    out += "STAT icilk_sleepers " + std::to_string(ps->sleepers()) + "\r\n";
-    out += "STAT icilk_idle_wakeups " + std::to_string(ps->idle_wakeups()) +
-           "\r\n";
-    out += "STAT icilk_zero_transitions " +
-           std::to_string(ps->zero_transitions()) + "\r\n";
+    st.add("sleepers", ps->sleepers())
+        .add("idle_wakeups", ps->idle_wakeups())
+        .add("zero_transitions", ps->zero_transitions());
   }
   if (const obs::Watchdog* wd = rt_->watchdog()) {
     out += wd->health_stats_text("icilk_", "\r\n");
   } else {
-    out += "STAT icilk_wd_running 0\r\n";
-    out += std::string("STAT icilk_wd_compiled_in ") +
-           (obs::watchdog_compiled_in() ? "1" : "0") + "\r\n";
+    st.add("wd_running", 0).add("wd_compiled_in", obs::watchdog_compiled_in());
   }
   // Profiler state: rate, window count, and — the reason this line
   // exists — the dropped-sample counter, so ring overflow under overload

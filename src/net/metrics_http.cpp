@@ -4,16 +4,18 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string_view>
 #include <thread>
 
 #include "core/api.hpp"
 #include "net/socket.hpp"
 #include "obs/exposition.hpp"
-#include "obs/flightrec.hpp"  // json_escape
+#include "obs/json.hpp"
 
 namespace icilk::net {
 
@@ -107,44 +109,31 @@ void MetricsHttpServer::connection_routine(int fd) {
 
 namespace {
 
-/// Tiny query-string scan: value of `key` in "a=1&b=2", or `fallback`.
-long query_param(std::string_view query, std::string_view key,
-                 long fallback) {
-  std::size_t at = 0;
-  while (at < query.size()) {
-    std::size_t amp = query.find('&', at);
-    if (amp == std::string_view::npos) amp = query.size();
+/// The value of the first `key=` pair in the query "a=1&b=2", if any.
+std::optional<std::string_view> query_value(std::string_view query,
+                                            std::string_view key) {
+  for (std::size_t at = 0; at < query.size();) {
+    const std::size_t amp = std::min(query.find('&', at), query.size());
     const std::string_view pair = query.substr(at, amp - at);
-    const std::size_t eq = pair.find('=');
-    if (eq != std::string_view::npos && pair.substr(0, eq) == key) {
-      long v = 0;
-      bool any = false;
-      for (char c : pair.substr(eq + 1)) {
-        if (c < '0' || c > '9') break;
-        v = v * 10 + (c - '0');
-        any = true;
-      }
-      if (any) return v;
+    if (pair.size() > key.size() && pair[key.size()] == '=' &&
+        pair.substr(0, key.size()) == key) {
+      return pair.substr(key.size() + 1);
     }
     at = amp + 1;
   }
-  return fallback;
+  return std::nullopt;
 }
 
-bool query_flag_is(std::string_view query, std::string_view key,
-                   std::string_view want) {
-  std::size_t at = 0;
-  while (at < query.size()) {
-    std::size_t amp = query.find('&', at);
-    if (amp == std::string_view::npos) amp = query.size();
-    const std::string_view pair = query.substr(at, amp - at);
-    const std::size_t eq = pair.find('=');
-    if (eq != std::string_view::npos && pair.substr(0, eq) == key) {
-      return pair.substr(eq + 1) == want;
-    }
-    at = amp + 1;
-  }
-  return false;
+/// The leading decimal digits of `key`'s value, or `fallback` when there
+/// are none or they overflow a long.
+long query_param(std::string_view query, std::string_view key,
+                 long fallback) {
+  const std::string_view v = query_value(query, key).value_or("");
+  const std::size_t end =
+      std::min(v.find_first_not_of("0123456789"), v.size());
+  long n = 0;
+  const auto res = std::from_chars(v.data(), v.data() + end, n);
+  return end > 0 && res.ec == std::errc() ? n : fallback;
 }
 
 }  // namespace
@@ -168,7 +157,7 @@ std::string MetricsHttpServer::profile_body(std::string_view query, bool& ok,
   reactor_->sleep_for(std::chrono::seconds(seconds));
   const obs::ProfileReport rep = prof->stop();
   ok = true;
-  if (query_flag_is(query, "format", "json")) {
+  if (query_value(query, "format") == "json") {
     *content_type = "application/json";
     return obs::Profiler::json_text(rep);
   }
@@ -209,8 +198,7 @@ std::string MetricsHttpServer::respond(const char* req, std::size_t len) {
       // One code path whether or not the profiler is compiled in: the
       // formatter renders compiled_in:false over an empty registry, so
       // scrapers see a well-formed document either way.
-      body = obs::parallelism_json(rt_.metrics());
-      body += '\n';
+      body = obs::parallelism_json(rt_.metrics()) + '\n';
     } else if (path.rfind("/timeseries", 0) == 0 &&
                (path.size() == 11 || path[11] == '?')) {
       const std::string_view query =
@@ -222,31 +210,18 @@ std::string MetricsHttpServer::respond(const char* req, std::size_t len) {
         if (n < 0) n = 0;
         body = ts->json(static_cast<std::size_t>(n));
       } else {
-        // cfg.timeseries_enabled off: still answer, so scrapers don't
-        // 404.
-        body = std::string("{\"timeseries\":1,\"scheduler\":\"") +
-               obs::json_escape(rt_.scheduler().name()) +
-               "\",\"epoch_ms\":0,\"capacity\":0,\"epochs_closed\":0," +
-               "\"epochs\":[]}\n";
+        // Timeseries off: still answer, so scrapers don't 404.
+        body = obs::TimeSeries::disabled_json(rt_.scheduler().name());
       }
     } else if (path == "/health") {
       content_type = "application/json";
-      std::string wd_body;
-      if (const obs::Watchdog* wd = rt_.watchdog()) {
-        wd_body = wd->health_json();
-      } else {
-        // No sampler running (cfg.watchdog_enabled off, or built
-        // ICILK_WATCHDOG=OFF): still answer, so probes don't 404.
-        wd_body = std::string("{\"watchdog\":{\"compiled_in\":") +
-                  (obs::watchdog_compiled_in() ? "true" : "false") +
-                  ",\"running\":false,\"scheduler\":\"" +
-                  obs::json_escape(rt_.scheduler().name()) + "\"}}";
-      }
-      // Splice the profiler fragment into the health document:
-      // {"watchdog":{...},"profiler":{...}}.
-      const std::size_t close = wd_body.rfind('}');
-      body = wd_body.substr(0, close) + ",\"profiler\":" +
-             obs::prof_health_json(rt_.profiler()) + "}\n";
+      // {"watchdog":{...},"profiler":{...}}; both members also render
+      // with no sampler or profiler running, so probes don't 404.
+      body = obs::json_object([this](obs::JsonWriter& w) {
+        obs::Watchdog::write_health(w, rt_.watchdog(),
+                                    rt_.scheduler().name());
+        w.raw("profiler", obs::prof_health_json(rt_.profiler()));
+      }) + '\n';
     } else if (path.rfind("/profile", 0) == 0 &&
                (path.size() == 8 || path[8] == '?')) {
       const std::string_view query =

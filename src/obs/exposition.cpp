@@ -4,6 +4,7 @@
 #include <cstdarg>
 #include <cstdio>
 
+#include "obs/json.hpp"
 #include "obs/spanprof.hpp"
 
 namespace icilk::obs {
@@ -24,6 +25,21 @@ void appendf(std::string& out, const char* fmt, ...) {
 }
 
 double ns_to_s(std::uint64_t ns) { return static_cast<double>(ns) * 1e-9; }
+
+std::string level_label(int level) {
+  return "level=\"" + std::to_string(level) + "\"";
+}
+
+/// ns -> us, and the par_milli fixed point -> its ratio.
+double thousandths(std::uint64_t v) { return static_cast<double>(v) / 1e3; }
+
+/// One member per (name, q): `h`'s q-quantile in thousandths.
+void quantiles(JsonWriter& w, const load::Histogram& h, int digits,
+               std::initializer_list<std::pair<const char*, double>> qs) {
+  for (const auto& [name, q] : qs) {
+    w.fixed(name, thousandths(h.percentile_ns(q)), digits);
+  }
+}
 
 /// Emits one Prometheus summary family from a histogram: quantile series
 /// plus _sum/_count. `labels` is the non-quantile label set ("level=\"1\""
@@ -78,10 +94,8 @@ std::string prometheus_text(const MetricsRegistry& m, const TraceSink* sink,
   for (int level = 0; level < m.num_levels(); ++level) {
     const MetricsRegistry::ReqLevelStats* r = m.req_level(level);
     if (r == nullptr || r->total_ns.count() == 0) continue;
-    char labels[32];
-    std::snprintf(labels, sizeof(labels), "level=\"%d\"", level);
-    summary_series(out, "icilk_request_latency_seconds", labels, r->total_ns,
-                   hist_sum_ns(r->total_ns));
+    summary_series(out, "icilk_request_latency_seconds", level_label(level),
+                   r->total_ns, hist_sum_ns(r->total_ns));
   }
   appendf(out,
           "# HELP icilk_request_phase_seconds Request time attributed to "
@@ -91,9 +105,9 @@ std::string prometheus_text(const MetricsRegistry& m, const TraceSink* sink,
     const MetricsRegistry::ReqLevelStats* r = m.req_level(level);
     if (r == nullptr || r->total_ns.count() == 0) continue;
     for (int p = 0; p < kReqPhaseCount; ++p) {
-      char labels[64];
-      std::snprintf(labels, sizeof(labels), "level=\"%d\",phase=\"%s\"",
-                    level, req_phase_name(static_cast<ReqPhase>(p)));
+      const std::string labels = level_label(level) + ",phase=\"" +
+                                 req_phase_name(static_cast<ReqPhase>(p)) +
+                                 "\"";
       summary_series(
           out, "icilk_request_phase_seconds", labels, r->phase_hist_ns[p],
           r->phase_sum_ns[p].load(std::memory_order_relaxed));
@@ -134,9 +148,7 @@ std::string prometheus_text(const MetricsRegistry& m, const TraceSink* sink,
         for (int level = 0; level < m.num_levels(); ++level) {
           const MetricsRegistry::SpLevelStats* s = m.sp_level(level);
           if (s == nullptr || s->span_ns.count() == 0) continue;
-          char labels[32];
-          std::snprintf(labels, sizeof(labels), "level=\"%d\"", level);
-          summary_series(out, f.name, labels, s->*(f.hist),
+          summary_series(out, f.name, level_label(level), s->*(f.hist),
                          hist_sum_ns(s->*(f.hist)));
         }
       }
@@ -170,9 +182,7 @@ std::string prometheus_text(const MetricsRegistry& m, const TraceSink* sink,
   for (int level = 0; level < m.num_levels(); ++level) {
     const load::Histogram& h = m.promptness_hist(level);
     if (h.count() == 0) continue;
-    char labels[32];
-    std::snprintf(labels, sizeof(labels), "level=\"%d\"", level);
-    summary_series(out, "icilk_promptness_seconds", labels, h,
+    summary_series(out, "icilk_promptness_seconds", level_label(level), h,
                    hist_sum_ns(h));
   }
   appendf(out,
@@ -181,9 +191,8 @@ std::string prometheus_text(const MetricsRegistry& m, const TraceSink* sink,
   for (int level = 0; level < m.num_levels(); ++level) {
     const load::Histogram& h = m.aging_hist(level);
     if (h.count() == 0) continue;
-    char labels[32];
-    std::snprintf(labels, sizeof(labels), "level=\"%d\"", level);
-    summary_series(out, "icilk_aging_seconds", labels, h, hist_sum_ns(h));
+    summary_series(out, "icilk_aging_seconds", level_label(level), h,
+                   hist_sum_ns(h));
   }
 
   // I/O fast-path counters.
@@ -247,216 +256,161 @@ std::string prometheus_text(const MetricsRegistry& m, const TraceSink* sink,
 }
 
 std::string latency_json(const MetricsRegistry& m) {
-  std::string out;
-  out.reserve(2048);
-  out += "{\"levels\":[";
-  bool first_level = true;
-  for (int level = 0; level < m.num_levels(); ++level) {
-    const MetricsRegistry::ReqLevelStats* r = m.req_level(level);
-    if (r == nullptr || r->total_ns.count() == 0) continue;
-    if (!first_level) out += ',';
-    first_level = false;
-    appendf(out,
-            "{\"level\":%d,\"count\":%" PRIu64
-            ",\"total_us\":{\"p50\":%.1f,\"p90\":%.1f,\"p99\":%.1f,"
-            "\"max\":%.1f,\"mean\":%.1f},\"phases\":{",
-            level, r->count.load(std::memory_order_relaxed),
-            static_cast<double>(r->total_ns.percentile_ns(0.5)) / 1e3,
-            static_cast<double>(r->total_ns.percentile_ns(0.9)) / 1e3,
-            static_cast<double>(r->total_ns.percentile_ns(0.99)) / 1e3,
-            static_cast<double>(r->total_ns.max_ns()) / 1e3,
-            r->total_ns.mean_ns() / 1e3);
-    for (int p = 0; p < kReqPhaseCount; ++p) {
-      const load::Histogram& h = r->phase_hist_ns[p];
-      appendf(out,
-              "%s\"%s\":{\"count\":%" PRIu64 ",\"sum_us\":%.1f,"
-              "\"p50\":%.1f,\"p99\":%.1f,\"max\":%.1f}",
-              p == 0 ? "" : ",", req_phase_name(static_cast<ReqPhase>(p)),
-              h.count(),
-              static_cast<double>(
-                  r->phase_sum_ns[p].load(std::memory_order_relaxed)) / 1e3,
-              static_cast<double>(h.percentile_ns(0.5)) / 1e3,
-              static_cast<double>(h.percentile_ns(0.99)) / 1e3,
-              static_cast<double>(h.max_ns()) / 1e3);
-    }
-    out += "},\"worst\":[";
-    bool first_worst = true;
-    for (const ReqContext& rc : m.worst_requests(level)) {
-      if (!first_worst) out += ',';
-      first_worst = false;
-      appendf(out,
-              "{\"id\":%" PRIu64 ",\"total_us\":%.1f,\"hops_dropped\":%u,"
-              "\"hops\":[",
-              rc.id,
-              static_cast<double>(rc.end_ns - rc.begin_ns) / 1e3,
-              rc.hops_dropped);
-      for (std::uint32_t i = 0; i < rc.nhops; ++i) {
-        const ReqHop& h = rc.hops[i];
-        appendf(out, "%s{\"t_us\":%.1f,\"phase\":\"%s\",\"where\":%d}",
-                i == 0 ? "" : ",",
-                static_cast<double>(h.t_ns - rc.begin_ns) / 1e3,
-                req_phase_name(h.phase), static_cast<int>(h.where));
+  return json_object([&m](JsonWriter& w) {
+    auto levels = w.array("levels");
+    for (int level = 0; level < m.num_levels(); ++level) {
+      const MetricsRegistry::ReqLevelStats* r = m.req_level(level);
+      if (r == nullptr || r->total_ns.count() == 0) continue;
+      auto lv = w.object();
+      w.field("level", level)
+          .field("count", r->count.load(std::memory_order_relaxed));
+      {
+        auto t = w.object("total_us");
+        quantiles(w, r->total_ns, 1,
+                  {{"p50", 0.5}, {"p90", 0.9}, {"p99", 0.99}});
+        w.fixed("max", thousandths(r->total_ns.max_ns()), 1)
+            .fixed("mean", r->total_ns.mean_ns() / 1e3, 1);
       }
-      out += "]}";
+      {
+        auto phases = w.object("phases");
+        for (int p = 0; p < kReqPhaseCount; ++p) {
+          const load::Histogram& h = r->phase_hist_ns[p];
+          const std::uint64_t sum =
+              r->phase_sum_ns[p].load(std::memory_order_relaxed);
+          auto ph = w.object(req_phase_name(static_cast<ReqPhase>(p)));
+          w.field("count", h.count()).fixed("sum_us", thousandths(sum), 1);
+          quantiles(w, h, 1, {{"p50", 0.5}, {"p99", 0.99}});
+          w.fixed("max", thousandths(h.max_ns()), 1);
+        }
+      }
+      auto worst = w.array("worst");
+      for (const ReqContext& rc : m.worst_requests(level)) {
+        auto req = w.object();
+        w.field("id", rc.id)
+            .fixed("total_us", thousandths(rc.end_ns - rc.begin_ns), 1)
+            .field("hops_dropped", rc.hops_dropped);
+        auto hops = w.array("hops");
+        for (std::uint32_t i = 0; i < rc.nhops; ++i) {
+          const ReqHop& h = rc.hops[i];
+          auto hop = w.object();
+          w.fixed("t_us", thousandths(h.t_ns - rc.begin_ns), 1)
+              .field("phase", req_phase_name(h.phase))
+              .field("where", h.where);
+        }
+      }
     }
-    out += "]}";
-  }
-  out += "]}";
-  return out;
+  });
 }
 
 std::string latency_stats_text(const MetricsRegistry& m,
                                const std::string& prefix,
                                const std::string& eol) {
   std::string out;
-  char buf[512];
+  const StatLines st(out, prefix, eol);
   for (int level = 0; level < m.num_levels(); ++level) {
     const MetricsRegistry::ReqLevelStats* r = m.req_level(level);
     if (r == nullptr || r->total_ns.count() == 0) continue;
-    auto line = [&](const char* name, std::uint64_t v) {
-      std::snprintf(buf, sizeof(buf), "STAT %sl%d_%s %" PRIu64, prefix.c_str(),
-                    level, name, v);
-      out += buf;
-      out += eol;
-    };
-    line("req_count", r->count.load(std::memory_order_relaxed));
-    line("req_p50_us", r->total_ns.percentile_ns(0.5) / 1000);
-    line("req_p99_us", r->total_ns.percentile_ns(0.99) / 1000);
-    line("req_max_us", r->total_ns.max_ns() / 1000);
+    const StatLines l = st.scoped("l" + std::to_string(level) + "_");
+    l.add("req_count", r->count.load(std::memory_order_relaxed))
+        .add("req_p50_us", r->total_ns.percentile_ns(0.5) / 1000)
+        .add("req_p99_us", r->total_ns.percentile_ns(0.99) / 1000)
+        .add("req_max_us", r->total_ns.max_ns() / 1000);
     for (int p = 0; p < kReqPhaseCount; ++p) {
       const load::Histogram& h = r->phase_hist_ns[p];
       if (h.count() == 0) continue;
-      const char* pn = req_phase_name(static_cast<ReqPhase>(p));
-      std::snprintf(buf, sizeof(buf),
-                    "STAT %sl%d_phase_%s_p50_us %" PRIu64, prefix.c_str(),
-                    level, pn, h.percentile_ns(0.5) / 1000);
-      out += buf;
-      out += eol;
-      std::snprintf(buf, sizeof(buf),
-                    "STAT %sl%d_phase_%s_p99_us %" PRIu64, prefix.c_str(),
-                    level, pn, h.percentile_ns(0.99) / 1000);
-      out += buf;
-      out += eol;
-      std::snprintf(
-          buf, sizeof(buf), "STAT %sl%d_phase_%s_sum_us %" PRIu64,
-          prefix.c_str(), level, pn,
-          r->phase_sum_ns[p].load(std::memory_order_relaxed) / 1000);
-      out += buf;
-      out += eol;
+      const std::string pn =
+          std::string("phase_") + req_phase_name(static_cast<ReqPhase>(p));
+      l.add(pn + "_p50_us", h.percentile_ns(0.5) / 1000)
+          .add(pn + "_p99_us", h.percentile_ns(0.99) / 1000)
+          .add(pn + "_sum_us",
+               r->phase_sum_ns[p].load(std::memory_order_relaxed) / 1000);
     }
     int rank = 0;
     for (const ReqContext& rc : m.worst_requests(level)) {
-      std::string hops;
+      std::string v = "id=" + std::to_string(rc.id) + " total_us=" +
+                      std::to_string((rc.end_ns - rc.begin_ns) / 1000) +
+                      " hops=";
       for (std::uint32_t i = 0; i < rc.nhops; ++i) {
         const ReqHop& h = rc.hops[i];
-        char hb[64];
-        std::snprintf(hb, sizeof(hb), "%s%s@%d:+%" PRIu64 "us",
-                      i == 0 ? "" : ",", req_phase_name(h.phase),
-                      static_cast<int>(h.where),
-                      (h.t_ns - rc.begin_ns) / 1000);
-        hops += hb;
+        if (i != 0) v += ',';
+        v += req_phase_name(h.phase);
+        v += '@' + std::to_string(h.where) + ":+" +
+             std::to_string((h.t_ns - rc.begin_ns) / 1000) + "us";
       }
-      std::snprintf(buf, sizeof(buf),
-                    "STAT %sl%d_worst%d id=%" PRIu64 " total_us=%" PRIu64
-                    " hops=%s%s",
-                    prefix.c_str(), level, rank, rc.id,
-                    (rc.end_ns - rc.begin_ns) / 1000, hops.c_str(),
-                    rc.hops_dropped != 0 ? ",..." : "");
-      out += buf;
-      out += eol;
-      ++rank;
+      if (rc.hops_dropped != 0) v += ",...";
+      l.add("worst" + std::to_string(rank++), v);
     }
   }
   return out;
 }
 
 std::string parallelism_json(const MetricsRegistry& m) {
-  std::string out;
-  out.reserve(1024);
-  appendf(out,
-          "{\"compiled_in\":%s,\"requests\":%" PRIu64
-          ",\"work_ms\":%.3f,\"span_ms\":%.3f,\"levels\":[",
-          spanprof_compiled_in() ? "true" : "false", m.sp_total_requests(),
-          static_cast<double>(m.sp_total_work_ns()) / 1e6,
-          static_cast<double>(m.sp_total_span_ns()) / 1e6);
-  bool first_level = true;
-  for (int level = 0; level < m.num_levels(); ++level) {
-    const MetricsRegistry::SpLevelStats* s = m.sp_level(level);
-    if (s == nullptr || s->span_ns.count() == 0) continue;
-    if (!first_level) out += ',';
-    first_level = false;
-    appendf(out,
-            "{\"level\":%d,\"count\":%" PRIu64
-            ",\"work_us\":{\"p50\":%.1f,\"p99\":%.1f,\"mean\":%.1f},"
-            "\"span_us\":{\"p50\":%.1f,\"p99\":%.1f,\"mean\":%.1f},"
-            "\"bspan_us\":{\"p50\":%.1f,\"p99\":%.1f},"
-            "\"parallelism\":{\"p10\":%.3f,\"p50\":%.3f,\"p90\":%.3f},"
-            "\"worst\":[",
-            level, s->count.load(std::memory_order_relaxed),
-            static_cast<double>(s->work_ns.percentile_ns(0.5)) / 1e3,
-            static_cast<double>(s->work_ns.percentile_ns(0.99)) / 1e3,
-            s->work_ns.mean_ns() / 1e3,
-            static_cast<double>(s->span_ns.percentile_ns(0.5)) / 1e3,
-            static_cast<double>(s->span_ns.percentile_ns(0.99)) / 1e3,
-            s->span_ns.mean_ns() / 1e3,
-            static_cast<double>(s->bspan_ns.percentile_ns(0.5)) / 1e3,
-            static_cast<double>(s->bspan_ns.percentile_ns(0.99)) / 1e3,
-            static_cast<double>(s->par_milli.percentile_ns(0.1)) / 1e3,
-            static_cast<double>(s->par_milli.percentile_ns(0.5)) / 1e3,
-            static_cast<double>(s->par_milli.percentile_ns(0.9)) / 1e3);
-    bool first_worst = true;
-    for (const MetricsRegistry::SpWorst& w : m.worst_parallelism(level)) {
-      if (!first_worst) out += ',';
-      first_worst = false;
-      appendf(out,
-              "{\"id\":%" PRIu64 ",\"work_us\":%.1f,\"span_us\":%.1f,"
-              "\"bspan_us\":%.1f,\"par\":%.3f}",
-              w.req_id, static_cast<double>(w.work_ns) / 1e3,
-              static_cast<double>(w.span_ns) / 1e3,
-              static_cast<double>(w.bspan_ns) / 1e3,
-              static_cast<double>(w.par_milli) / 1e3);
+  return json_object([&m](JsonWriter& w) {
+    w.field("compiled_in", spanprof_compiled_in())
+        .field("requests", m.sp_total_requests())
+        .fixed("work_ms", static_cast<double>(m.sp_total_work_ns()) / 1e6, 3)
+        .fixed("span_ms", static_cast<double>(m.sp_total_span_ns()) / 1e6,
+               3);
+    auto levels = w.array("levels");
+    for (int level = 0; level < m.num_levels(); ++level) {
+      const MetricsRegistry::SpLevelStats* s = m.sp_level(level);
+      if (s == nullptr || s->span_ns.count() == 0) continue;
+      auto lv = w.object();
+      w.field("level", level)
+          .field("count", s->count.load(std::memory_order_relaxed));
+      const auto summary = [&w](const char* name, const load::Histogram& h,
+                                bool mean) {
+        auto o = w.object(name);
+        quantiles(w, h, 1, {{"p50", 0.5}, {"p99", 0.99}});
+        if (mean) w.fixed("mean", h.mean_ns() / 1e3, 1);
+      };
+      summary("work_us", s->work_ns, true);
+      summary("span_us", s->span_ns, true);
+      summary("bspan_us", s->bspan_ns, false);
+      {
+        auto par = w.object("parallelism");
+        quantiles(w, s->par_milli, 3,
+                  {{"p10", 0.1}, {"p50", 0.5}, {"p90", 0.9}});
+      }
+      auto worst = w.array("worst");
+      for (const MetricsRegistry::SpWorst& e : m.worst_parallelism(level)) {
+        auto o = w.object();
+        w.field("id", e.req_id).fixed("work_us", thousandths(e.work_ns), 1);
+        w.fixed("span_us", thousandths(e.span_ns), 1);
+        w.fixed("bspan_us", thousandths(e.bspan_ns), 1);
+        w.fixed("par", thousandths(e.par_milli), 3);
+      }
     }
-    out += "]}";
-  }
-  out += "]}";
-  return out;
+  });
 }
 
 std::string parallelism_stats_text(const MetricsRegistry& m,
                                    const std::string& prefix,
                                    const std::string& eol) {
   std::string out;
-  char buf[256];
+  const StatLines st(out, prefix, eol);
   for (int level = 0; level < m.num_levels(); ++level) {
     const MetricsRegistry::SpLevelStats* s = m.sp_level(level);
     if (s == nullptr || s->span_ns.count() == 0) continue;
-    auto line = [&](const char* name, std::uint64_t v) {
-      std::snprintf(buf, sizeof(buf), "STAT %sl%d_%s %" PRIu64,
-                    prefix.c_str(), level, name, v);
-      out += buf;
-      out += eol;
-    };
-    line("par_count", s->count.load(std::memory_order_relaxed));
-    line("work_p50_us", s->work_ns.percentile_ns(0.5) / 1000);
-    line("work_p99_us", s->work_ns.percentile_ns(0.99) / 1000);
-    line("span_p50_us", s->span_ns.percentile_ns(0.5) / 1000);
-    line("span_p99_us", s->span_ns.percentile_ns(0.99) / 1000);
-    line("bspan_p50_us", s->bspan_ns.percentile_ns(0.5) / 1000);
-    line("bspan_p99_us", s->bspan_ns.percentile_ns(0.99) / 1000);
-    line("par_p10_milli", s->par_milli.percentile_ns(0.1));
-    line("par_p50_milli", s->par_milli.percentile_ns(0.5));
-    line("par_p90_milli", s->par_milli.percentile_ns(0.9));
+    const StatLines l = st.scoped("l" + std::to_string(level) + "_");
+    l.add("par_count", s->count.load(std::memory_order_relaxed))
+        .add("work_p50_us", s->work_ns.percentile_ns(0.5) / 1000)
+        .add("work_p99_us", s->work_ns.percentile_ns(0.99) / 1000)
+        .add("span_p50_us", s->span_ns.percentile_ns(0.5) / 1000)
+        .add("span_p99_us", s->span_ns.percentile_ns(0.99) / 1000)
+        .add("bspan_p50_us", s->bspan_ns.percentile_ns(0.5) / 1000)
+        .add("bspan_p99_us", s->bspan_ns.percentile_ns(0.99) / 1000)
+        .add("par_p10_milli", s->par_milli.percentile_ns(0.1))
+        .add("par_p50_milli", s->par_milli.percentile_ns(0.5))
+        .add("par_p90_milli", s->par_milli.percentile_ns(0.9));
     int rank = 0;
-    for (const MetricsRegistry::SpWorst& w : m.worst_parallelism(level)) {
-      std::snprintf(buf, sizeof(buf),
-                    "STAT %sl%d_leastpar%d id=%" PRIu64 " work_us=%" PRIu64
-                    " span_us=%" PRIu64 " bspan_us=%" PRIu64 " par=%.3f",
-                    prefix.c_str(), level, rank, w.req_id, w.work_ns / 1000,
-                    w.span_ns / 1000, w.bspan_ns / 1000,
-                    static_cast<double>(w.par_milli) / 1e3);
-      out += buf;
-      out += eol;
-      ++rank;
+    for (const MetricsRegistry::SpWorst& e : m.worst_parallelism(level)) {
+      l.add("leastpar" + std::to_string(rank++),
+            "id=" + std::to_string(e.req_id) +
+                " work_us=" + std::to_string(e.work_ns / 1000) +
+                " span_us=" + std::to_string(e.span_ns / 1000) +
+                " bspan_us=" + std::to_string(e.bspan_ns / 1000) +
+                " par=" + format_fixed(thousandths(e.par_milli), 3));
     }
   }
   return out;

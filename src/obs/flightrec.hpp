@@ -13,14 +13,13 @@
 //   * the drained trace rings as an embedded Chrome trace_event document
 //     (load the "trace" member straight into chrome://tracing).
 //
-// parse_flight_bundle() is the matching reader: a minimal dependency-free
-// JSON walk that validates the whole document and pulls the fields tests
-// and tooling care about — the round-trip contract in
+// parse_flight_bundle() is the matching reader: it validates the whole
+// document with json::parse (obs/json.hpp) and pulls the fields tests and
+// tooling care about — the round-trip contract in
 // tests/obs/test_watchdog.cpp.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -34,9 +33,6 @@ class TimeSeries;
 /// binary, stamped into bundles so a dump from an OFF build can't be
 /// mistaken for one with full hooks.
 std::string build_flags_string();
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-std::string json_escape(const std::string& s);
 
 /// Writer-side view of one bundle. Pointers are borrowed for the duration
 /// of the write call only.
@@ -56,7 +52,6 @@ struct FlightBundle {
 };
 
 /// Serializes the bundle as one JSON document.
-void write_flight_bundle(std::ostream& os, const FlightBundle& b);
 std::string flight_bundle_json(const FlightBundle& b);
 
 /// What the reader recovers (plus full-document validation).
@@ -84,7 +79,7 @@ struct ParsedFlightBundle {
 };
 
 /// Parses (and fully validates the syntax of) a bundle produced by
-/// write_flight_bundle.
+/// flight_bundle_json.
 ParsedFlightBundle parse_flight_bundle(const std::string& json);
 
 }  // namespace icilk::obs

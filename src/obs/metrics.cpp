@@ -1,7 +1,9 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <string>
+
+#include "obs/json.hpp"
 
 namespace icilk::obs {
 
@@ -375,77 +377,51 @@ void MetricsRegistry::reset_worst() {
 std::string MetricsRegistry::text(const std::string& prefix,
                                   const std::string& eol) const {
   std::string out;
-  char buf[160];
-  auto line = [&](int level, const char* name, std::uint64_t v) {
-    std::snprintf(buf, sizeof(buf), "STAT %sl%d_%s %llu", prefix.c_str(),
-                  level, name, static_cast<unsigned long long>(v));
-    out += buf;
-    out += eol;
-  };
+  const StatLines st(out, prefix, eol);
   for (int level = 0; level < num_levels_; ++level) {
     const PerLevel& l = levels_[level];
     if (!l.any_activity()) continue;
-    line(level, "steals", counter(EventKind::kSteal, level));
-    line(level, "mugs", counter(EventKind::kMug, level));
-    line(level, "abandons", counter(EventKind::kAbandon, level));
-    line(level, "resumes", counter(EventKind::kResume, level));
-    line(level, "suspends", counter(EventKind::kSuspend, level));
-    if (l.promptness_ns.count() != 0) {
-      line(level, "prompt_count", l.promptness_ns.count());
-      line(level, "prompt_p50_us", l.promptness_ns.percentile_ns(0.5) / 1000);
-      line(level, "prompt_p99_us", l.promptness_ns.percentile_ns(0.99) / 1000);
-      line(level, "prompt_max_us", l.promptness_ns.max_ns() / 1000);
+    const StatLines lv = st.scoped("l" + std::to_string(level) + "_");
+    lv.add("steals", counter(EventKind::kSteal, level));
+    lv.add("mugs", counter(EventKind::kMug, level));
+    lv.add("abandons", counter(EventKind::kAbandon, level));
+    lv.add("resumes", counter(EventKind::kResume, level));
+    lv.add("suspends", counter(EventKind::kSuspend, level));
+    for (const auto& [name, h] : {std::pair{"prompt", &l.promptness_ns},
+                                  std::pair{"aging", &l.aging_ns}}) {
+      if (h->count() == 0) continue;
+      const std::string n = name;
+      lv.add(n + "_count", h->count());
+      lv.add(n + "_p50_us", h->percentile_ns(0.5) / 1000);
+      lv.add(n + "_p99_us", h->percentile_ns(0.99) / 1000);
+      lv.add(n + "_max_us", h->max_ns() / 1000);
     }
-    if (l.aging_ns.count() != 0) {
-      line(level, "aging_count", l.aging_ns.count());
-      line(level, "aging_p50_us", l.aging_ns.percentile_ns(0.5) / 1000);
-      line(level, "aging_p99_us", l.aging_ns.percentile_ns(0.99) / 1000);
-      line(level, "aging_max_us", l.aging_ns.max_ns() / 1000);
-    }
-    if (const ReqLevelStats* r = req_level(level);
-        r != nullptr && r->total_ns.count() != 0) {
-      line(level, "req_count", r->count.load(std::memory_order_relaxed));
-      line(level, "req_p50_us", r->total_ns.percentile_ns(0.5) / 1000);
-      line(level, "req_p99_us", r->total_ns.percentile_ns(0.99) / 1000);
-      line(level, "req_max_us", r->total_ns.max_ns() / 1000);
-    }
+    // The request-latency group (req_*) is latency_stats_text's.
     if (const SpLevelStats* sp = sp_level(level);
         sp != nullptr && sp->span_ns.count() != 0) {
-      line(level, "par_count", sp->count.load(std::memory_order_relaxed));
-      line(level, "work_p50_us", sp->work_ns.percentile_ns(0.5) / 1000);
-      line(level, "span_p50_us", sp->span_ns.percentile_ns(0.5) / 1000);
-      line(level, "bspan_p50_us", sp->bspan_ns.percentile_ns(0.5) / 1000);
-      line(level, "par_p50_milli", sp->par_milli.percentile_ns(0.5));
-      line(level, "par_p10_milli", sp->par_milli.percentile_ns(0.1));
+      lv.add("par_count", sp->count.load(std::memory_order_relaxed));
+      lv.add("work_p50_us", sp->work_ns.percentile_ns(0.5) / 1000);
+      lv.add("span_p50_us", sp->span_ns.percentile_ns(0.5) / 1000);
+      lv.add("bspan_p50_us", sp->bspan_ns.percentile_ns(0.5) / 1000);
+      lv.add("par_p50_milli", sp->par_milli.percentile_ns(0.5));
+      lv.add("par_p10_milli", sp->par_milli.percentile_ns(0.1));
     }
   }
+  const StatLines io = st.scoped("io_");
   for (int s = 0; s < static_cast<int>(IoStat::kCount); ++s) {
     const std::uint64_t v = io_[s].load(std::memory_order_relaxed);
-    if (v == 0) continue;
-    std::snprintf(buf, sizeof(buf), "STAT %sio_%s %llu", prefix.c_str(),
-                  io_stat_name(static_cast<IoStat>(s)),
-                  static_cast<unsigned long long>(v));
-    out += buf;
-    out += eol;
+    if (v != 0) io.add(io_stat_name(static_cast<IoStat>(s)), v);
   }
   for (int g = 0; g < static_cast<int>(IoGauge::kCount); ++g) {
     const std::int64_t v = io_gauges_[g].load(std::memory_order_relaxed);
-    if (v == 0) continue;
-    std::snprintf(buf, sizeof(buf), "STAT %sio_%s %lld", prefix.c_str(),
-                  io_gauge_name(static_cast<IoGauge>(g)),
-                  static_cast<long long>(v));
-    out += buf;
-    out += eol;
+    if (v != 0) io.add(io_gauge_name(static_cast<IoGauge>(g)), v);
   }
   // Watchdog gauges render only once a sampler has written them.
   if (wd_gauge(WdGauge::kSamples) != 0) {
+    const StatLines wd = st.scoped("wd_");
     for (int g = 0; g < static_cast<int>(WdGauge::kCount); ++g) {
-      std::snprintf(buf, sizeof(buf), "STAT %swd_%s %lld", prefix.c_str(),
-                    wd_gauge_name(static_cast<WdGauge>(g)),
-                    static_cast<long long>(
-                        wd_[g].load(std::memory_order_relaxed)));
-      out += buf;
-      out += eol;
+      wd.add(wd_gauge_name(static_cast<WdGauge>(g)),
+             wd_[g].load(std::memory_order_relaxed));
     }
   }
   return out;

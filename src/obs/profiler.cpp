@@ -16,7 +16,7 @@
 #include <sstream>
 
 #include "concurrent/clock.hpp"
-#include "obs/flightrec.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/reqtrace.hpp"
 #include "obs/thread_ctx.hpp"
@@ -520,25 +520,25 @@ std::string Profiler::folded_text(const ProfileReport& r) {
 }
 
 std::string Profiler::json_text(const ProfileReport& r) {
-  std::ostringstream os;
-  os << "{\"hz\":" << r.hz << ",\"period_ns\":" << r.period_ns
-     << ",\"window_ns\":" << r.window_ns << ",\"samples\":" << r.samples
-     << ",\"dropped\":" << r.dropped << ",\"offcpu_ns\":" << r.offcpu_ns
-     << ",\"exe\":\"" << json_escape(r.exe) << "\",\"modules\":[";
-  for (std::size_t i = 0; i < r.modules.size(); ++i) {
-    if (i) os << ',';
-    os << "{\"base\":" << r.modules[i].base << ",\"end\":" << r.modules[i].end
-       << ",\"path\":\"" << json_escape(r.modules[i].path) << "\"}";
-  }
-  os << "],\"stacks\":[";
-  for (std::size_t i = 0; i < r.stacks.size(); ++i) {
-    if (i) os << ',';
-    os << "{\"stack\":\"" << json_escape(r.stacks[i].key)
-       << "\",\"ns\":" << r.stacks[i].weight_ns
-       << ",\"count\":" << r.stacks[i].count << "}";
-  }
-  os << "]}";
-  return os.str();
+  return json_object([&r](JsonWriter& w) {
+    w.field("hz", r.hz).field("period_ns", r.period_ns);
+    w.field("window_ns", r.window_ns).field("samples", r.samples);
+    w.field("dropped", r.dropped).field("offcpu_ns", r.offcpu_ns);
+    w.field("exe", r.exe);
+    {
+      auto mods = w.array("modules");
+      for (const auto& m : r.modules) {
+        auto o = w.object();
+        w.field("base", m.base).field("end", m.end).field("path", m.path);
+      }
+    }
+    auto stacks = w.array("stacks");
+    for (const auto& st : r.stacks) {
+      auto o = w.object();
+      w.field("stack", st.key).field("ns", st.weight_ns);
+      w.field("count", st.count);
+    }
+  });
 }
 
 bool Profiler::write_folded(const ProfileReport& r, const std::string& path) {
@@ -553,39 +553,28 @@ bool Profiler::write_folded(const ProfileReport& r, const std::string& path) {
 // ---------------------------------------------------------------------------
 
 std::string prof_health_json(const Profiler* p) {
-  std::ostringstream os;
-  os << "{\"compiled_in\":" << (profile_compiled_in() ? "true" : "false");
-  if (p == nullptr) {
-    os << ",\"running\":false}";
-    return os.str();
-  }
-  os << ",\"running\":" << (p->running() ? "true" : "false");
-  os << ",\"hz\":" << (p->running() ? p->hz() : p->config().default_hz);
-  os << ",\"threads\":" << p->registered_threads();
-  os << ",\"windows\":" << p->windows();
-  os << ",\"samples\":" << p->total_samples();
-  os << ",\"dropped\":" << p->total_dropped();
-  os << '}';
-  return os.str();
+  return json_object([p](JsonWriter& w) {
+    w.field("compiled_in", profile_compiled_in());
+    w.field("running", p != nullptr && p->running());
+    if (p == nullptr) return;
+    w.field("hz", p->running() ? p->hz() : p->config().default_hz);
+    w.field("threads", p->registered_threads()).field("windows", p->windows());
+    w.field("samples", p->total_samples()).field("dropped", p->total_dropped());
+  });
 }
 
 std::string prof_health_stats_text(const Profiler* p,
                                    const std::string& prefix,
                                    const std::string& eol) {
-  std::ostringstream os;
-  auto add = [&](const char* name, long long v) {
-    os << "STAT " << prefix << "prof_" << name << ' ' << v << eol;
-  };
-  add("compiled_in", profile_compiled_in() ? 1 : 0);
-  add("running", (p != nullptr && p->running()) ? 1 : 0);
-  if (p != nullptr) {
-    add("hz", p->running() ? p->hz() : p->config().default_hz);
-    add("threads", p->registered_threads());
-    add("windows", static_cast<long long>(p->windows()));
-    add("samples", static_cast<long long>(p->total_samples()));
-    add("dropped", static_cast<long long>(p->total_dropped()));
-  }
-  return os.str();
+  std::string out;
+  const StatLines st(out, prefix + "prof_", eol);
+  st.add("compiled_in", profile_compiled_in());
+  st.add("running", p != nullptr && p->running());
+  if (p == nullptr) return out;
+  st.add("hz", p->running() ? p->hz() : p->config().default_hz);
+  st.add("threads", p->registered_threads()).add("windows", p->windows());
+  st.add("samples", p->total_samples()).add("dropped", p->total_dropped());
+  return out;
 }
 
 // ---------------------------------------------------------------------------

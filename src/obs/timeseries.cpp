@@ -1,11 +1,9 @@
 #include "obs/timeseries.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <sstream>
 
 #include "load/histogram.hpp"
-#include "obs/flightrec.hpp"  // json_escape
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace icilk::obs {
@@ -155,37 +153,39 @@ TsEpoch TimeSeries::latest() const {
 
 namespace {
 
-void write_epoch(std::ostream& os, const TsEpoch& e) {
-  os << "{\"seq\":" << e.seq;
-  os << ",\"t_ns\":" << e.t_ns;
-  os << ",\"duration_ns\":" << e.duration_ns;
-  os << ",\"steals\":" << e.steals << ",\"mugs\":" << e.mugs
-     << ",\"abandons\":" << e.abandons << ",\"resumes\":" << e.resumes;
-  os << ",\"io_submits\":" << e.io_submits
-     << ",\"io_completes\":" << e.io_completes;
-  os << ",\"sp_reqs\":" << e.sp_reqs << ",\"sp_work_ns\":" << e.sp_work_ns
-     << ",\"sp_span_ns\":" << e.sp_span_ns;
-  os << ",\"sleepers\":" << e.sleepers << ",\"io_armed\":" << e.io_armed
-     << ",\"timers_pending\":" << e.timers_pending;
-  char hexbuf[24];
-  std::snprintf(hexbuf, sizeof hexbuf, "0x%llx",
-                static_cast<unsigned long long>(e.bitfield));
-  os << ",\"bitfield\":\"" << hexbuf << '"';
-  os << ",\"levels\":{";
-  bool first = true;
+void write_epoch(JsonWriter& w, const TsEpoch& e) {
+  auto o = w.object();
+  w.field("seq", e.seq).field("t_ns", e.t_ns);
+  w.field("duration_ns", e.duration_ns);
+  w.field("steals", e.steals).field("mugs", e.mugs);
+  w.field("abandons", e.abandons).field("resumes", e.resumes);
+  w.field("io_submits", e.io_submits).field("io_completes", e.io_completes);
+  w.field("sp_reqs", e.sp_reqs).field("sp_work_ns", e.sp_work_ns);
+  w.field("sp_span_ns", e.sp_span_ns);
+  w.field("sleepers", e.sleepers).field("io_armed", e.io_armed);
+  w.field("timers_pending", e.timers_pending).hex("bitfield", e.bitfield);
+  auto levels = w.object("levels");
   for (int p = 0; p < TsEpoch::kMaxLevels; ++p) {
     const auto& l = e.lat[p];
     if (l.count == 0 && e.pool_depth[p] == 0 && e.mug_depth[p] == 0) {
       continue;  // most of the 64 levels are silent; keep documents small
     }
-    if (!first) os << ',';
-    first = false;
-    os << '"' << p << "\":{\"count\":" << l.count
-       << ",\"p50_ns\":" << l.p50_ns << ",\"p99_ns\":" << l.p99_ns
-       << ",\"max_ns\":" << l.max_ns << ",\"pool\":" << e.pool_depth[p]
-       << ",\"mug\":" << e.mug_depth[p] << '}';
+    auto lv = w.object(std::to_string(p));
+    w.field("count", l.count).field("p50_ns", l.p50_ns);
+    w.field("p99_ns", l.p99_ns).field("max_ns", l.max_ns);
+    w.field("pool", e.pool_depth[p]).field("mug", e.mug_depth[p]);
   }
-  os << "}}";
+}
+
+std::string render(std::string_view scheduler, int epoch_ms, int capacity,
+                   std::uint64_t closed, const std::vector<TsEpoch>& eps) {
+  return json_object([&](JsonWriter& w) {
+    w.field("timeseries", 1).field("scheduler", scheduler);
+    w.field("epoch_ms", epoch_ms).field("capacity", capacity);
+    w.field("epochs_closed", closed);
+    auto arr = w.array("epochs");
+    for (const TsEpoch& e : eps) write_epoch(w, e);
+  }) + '\n';
 }
 
 }  // namespace
@@ -198,59 +198,35 @@ std::string TimeSeries::json(std::size_t max_epochs) const {
               eps.begin() + static_cast<std::ptrdiff_t>(eps.size() -
                                                         max_epochs));
   }
-  std::ostringstream os;
-  os << "{\"timeseries\":1";
-  os << ",\"scheduler\":\"" << json_escape(cfg_.scheduler) << '"';
-  os << ",\"epoch_ms\":" << cfg_.epoch_ms;
-  os << ",\"capacity\":" << cfg_.epochs;
-  os << ",\"epochs_closed\":" << epochs_closed();
-  os << ",\"epochs\":[";
-  for (std::size_t i = 0; i < eps.size(); ++i) {
-    if (i) os << ',';
-    write_epoch(os, eps[i]);
-  }
-  os << "]}\n";
-  return os.str();
+  return render(cfg_.scheduler, cfg_.epoch_ms, cfg_.epochs, epochs_closed(),
+                eps);
+}
+
+std::string TimeSeries::disabled_json(std::string_view scheduler) {
+  return render(scheduler, 0, 0, 0, {});
 }
 
 std::string TimeSeries::stats_text(const std::string& prefix,
                                    const std::string& eol) const {
   const TsEpoch e = latest();
   std::string out;
-  char buf[160];
-  auto stat = [&](const char* name, long long v) {
-    std::snprintf(buf, sizeof buf, "STAT %sts_%s %lld", prefix.c_str(), name,
-                  v);
-    out += buf;
-    out += eol;
-  };
-  stat("epoch_ms", cfg_.epoch_ms);
-  stat("epochs_closed", static_cast<long long>(epochs_closed()));
-  stat("last_duration_us", static_cast<long long>(e.duration_ns / 1000));
-  stat("last_steals", static_cast<long long>(e.steals));
-  stat("last_mugs", static_cast<long long>(e.mugs));
-  stat("last_abandons", static_cast<long long>(e.abandons));
-  stat("last_resumes", static_cast<long long>(e.resumes));
-  stat("last_io_submits", static_cast<long long>(e.io_submits));
-  stat("last_io_completes", static_cast<long long>(e.io_completes));
-  stat("last_sp_reqs", static_cast<long long>(e.sp_reqs));
-  stat("last_sp_work_us", static_cast<long long>(e.sp_work_ns / 1000));
-  stat("last_sp_span_us", static_cast<long long>(e.sp_span_ns / 1000));
-  stat("last_sleepers", e.sleepers);
-  stat("last_io_armed", static_cast<long long>(e.io_armed));
-  stat("last_timers_pending", static_cast<long long>(e.timers_pending));
-  char name[32];
+  const StatLines st(out, prefix + "ts_", eol);
+  st.add("epoch_ms", cfg_.epoch_ms).add("epochs_closed", epochs_closed());
+  st.add("last_duration_us", e.duration_ns / 1000);
+  st.add("last_steals", e.steals).add("last_mugs", e.mugs);
+  st.add("last_abandons", e.abandons).add("last_resumes", e.resumes);
+  st.add("last_io_submits", e.io_submits);
+  st.add("last_io_completes", e.io_completes).add("last_sp_reqs", e.sp_reqs);
+  st.add("last_sp_work_us", e.sp_work_ns / 1000);
+  st.add("last_sp_span_us", e.sp_span_ns / 1000);
+  st.add("last_sleepers", e.sleepers).add("last_io_armed", e.io_armed);
+  st.add("last_timers_pending", e.timers_pending);
   for (int p = 0; p < TsEpoch::kMaxLevels; ++p) {
     const auto& l = e.lat[p];
     if (l.count == 0) continue;
-    std::snprintf(name, sizeof name, "l%d_count", p);
-    stat(name, static_cast<long long>(l.count));
-    std::snprintf(name, sizeof name, "l%d_p50_us", p);
-    stat(name, static_cast<long long>(l.p50_ns / 1000));
-    std::snprintf(name, sizeof name, "l%d_p99_us", p);
-    stat(name, static_cast<long long>(l.p99_ns / 1000));
-    std::snprintf(name, sizeof name, "l%d_max_us", p);
-    stat(name, static_cast<long long>(l.max_ns / 1000));
+    const StatLines lv = st.scoped("l" + std::to_string(p) + "_");
+    lv.add("count", l.count).add("p50_us", l.p50_ns / 1000);
+    lv.add("p99_us", l.p99_ns / 1000).add("max_us", l.max_ns / 1000);
   }
   return out;
 }

@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "concurrent/clock.hpp"
@@ -148,6 +149,8 @@ class TimeSeries {
   /// `max_epochs` > 0 bounds the document to the NEWEST that many epochs
   /// (the /timeseries?n=K window); 0 means the whole ring.
   std::string json(std::size_t max_epochs = 0) const;
+  /// The same document with no epochs (the /timeseries body when off).
+  static std::string disabled_json(std::string_view scheduler);
   /// "STAT <prefix>ts_<name> <value>" lines for the latest epoch (the
   /// `stats icilk timeseries` group; eol is "\r\n" there).
   std::string stats_text(const std::string& prefix,

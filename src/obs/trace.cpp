@@ -1,9 +1,10 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
+
+#include "obs/json.hpp"
 
 namespace icilk::obs {
 
@@ -157,99 +158,85 @@ void TraceSink::write_chrome_trace(std::ostream& os) const {
   if (origin == UINT64_MAX) origin = 0;
   const double us_per_tick = 1e6 / static_cast<double>(ticks_per_second());
 
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  char buf[256];
-  auto emit = [&](const char* json) {
-    if (!first) os << ',';
-    first = false;
-    os << json;
-  };
+  // Rendered in chunks so a large trace never sits in memory twice.
+  std::string buf;
+  JsonWriter w(buf);
+  {
+    auto doc = w.object();
+    w.field("displayTimeUnit", "ms");
+    auto events = w.array("traceEvents");
+    for (const auto& r : rings_) {
+      {
+        auto e = w.object();
+        w.field("name", "thread_name").field("ph", "M").field("pid", 0);
+        w.field("tid", r->tid());
+        auto args = w.object("args");
+        w.field("name", r->name());
+      }
+      // Ring overflow metadata: a nonzero dropped count means this
+      // thread's lane is a truncated window — consumers must not read
+      // absence of events as absence of activity.
+      auto e = w.object();
+      w.field("name", "icilk_ring_stats").field("ph", "M").field("pid", 0);
+      w.field("tid", r->tid());
+      auto args = w.object("args");
+      w.field("ring", r->name()).field("recorded", r->recorded());
+      w.field("dropped", r->dropped());
+    }
 
-  for (std::size_t i = 0; i < rings_.size(); ++i) {
-    std::snprintf(buf, sizeof(buf),
-                  "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,"
-                  "\"tid\":%d,\"args\":{\"name\":\"%s\"}}",
-                  rings_[i]->tid(), rings_[i]->name().c_str());
-    emit(buf);
-    // Ring overflow metadata: a nonzero dropped count means this thread's
-    // lane is a truncated window — consumers must not read absence of
-    // events as absence of activity.
-    std::snprintf(buf, sizeof(buf),
-                  "{\"name\":\"icilk_ring_stats\",\"ph\":\"M\",\"pid\":0,"
-                  "\"tid\":%d,\"args\":{\"ring\":\"%s\",\"recorded\":%llu,"
-                  "\"dropped\":%llu}}",
-                  rings_[i]->tid(), rings_[i]->name().c_str(),
-                  static_cast<unsigned long long>(rings_[i]->recorded()),
-                  static_cast<unsigned long long>(rings_[i]->dropped()));
-    emit(buf);
-  }
-
-  for (std::size_t i = 0; i < rings_.size(); ++i) {
-    const int tid = rings_[i]->tid();
-    double sleep_begin_ts = -1.0;
-    for (const TraceEvent& ev : snaps[i]) {
-      const double ts =
-          static_cast<double>(ev.tick - origin) * us_per_tick;
-      if (ev.kind == EventKind::kSleepBegin) {
-        sleep_begin_ts = ts;
-        continue;
+    for (std::size_t i = 0; i < rings_.size(); ++i) {
+      const int tid = rings_[i]->tid();
+      double sleep_begin_ts = -1.0;
+      for (const TraceEvent& ev : snaps[i]) {
+        if (buf.size() >= 64 * 1024) {
+          os << buf;
+          buf.clear();
+        }
+        const double ts = static_cast<double>(ev.tick - origin) * us_per_tick;
+        if (ev.kind == EventKind::kSleepBegin) {
+          sleep_begin_ts = ts;
+          continue;
+        }
+        if (ev.kind == EventKind::kSleepEnd && sleep_begin_ts >= 0.0) {
+          auto e = w.object();
+          w.field("name", "sleep").field("cat", "sched").field("ph", "X");
+          w.fixed("ts", sleep_begin_ts, 3).fixed("dur", ts - sleep_begin_ts, 3);
+          w.field("pid", 0).field("tid", tid);
+          sleep_begin_ts = -1.0;
+          continue;
+        }
+        const bool req = ev.kind == EventKind::kReqBegin ||
+                         ev.kind == EventKind::kReqPhase ||
+                         ev.kind == EventKind::kReqEnd;
+        if (req) {
+          // Request spans render as a flow: one arrow chain per request
+          // id, hopping across whichever lanes (workers, I/O threads)
+          // touched it. Chrome/Perfetto match flows on (cat, name, id).
+          const char* ph = ev.kind == EventKind::kReqBegin   ? "s"
+                           : ev.kind == EventKind::kReqPhase ? "t"
+                                                             : "f";
+          auto e = w.object();
+          w.field("name", "req").field("cat", "req").field("ph", ph);
+          if (ev.kind == EventKind::kReqEnd) w.field("bp", "e");
+          w.field("id", ev.arg).fixed("ts", ts, 3);
+          w.field("pid", 0).field("tid", tid);
+        }
+        // An instant naming the event (for a request, the transition).
+        auto e = w.object();
+        w.field("name", event_name(ev.kind));
+        w.field("cat", req ? "req" : "sched").field("ph", "i");
+        w.fixed("ts", ts, 3).field("pid", 0).field("tid", tid).field("s", "t");
+        auto args = w.object("args");
+        if (req) {
+          w.field("req", ev.arg).field("level", ev.level);
+        } else {
+          if (ev.level != TraceEvent::kNoLevel16) w.field("level", ev.level);
+          w.field("arg", ev.arg);
+        }
       }
-      if (ev.kind == EventKind::kSleepEnd && sleep_begin_ts >= 0.0) {
-        std::snprintf(buf, sizeof(buf),
-                      "{\"name\":\"sleep\",\"cat\":\"sched\",\"ph\":\"X\","
-                      "\"ts\":%.3f,\"dur\":%.3f,\"pid\":0,\"tid\":%d}",
-                      sleep_begin_ts, ts - sleep_begin_ts, tid);
-        emit(buf);
-        sleep_begin_ts = -1.0;
-        continue;
-      }
-      if (ev.kind == EventKind::kReqBegin ||
-          ev.kind == EventKind::kReqPhase ||
-          ev.kind == EventKind::kReqEnd) {
-        // Request spans render as a flow: one arrow chain per request id,
-        // hopping across whichever lanes (workers, I/O threads) touched
-        // it. Chrome/Perfetto match flows on (cat, name, id).
-        const char ph = ev.kind == EventKind::kReqBegin   ? 's'
-                        : ev.kind == EventKind::kReqPhase ? 't'
-                                                          : 'f';
-        std::snprintf(buf, sizeof(buf),
-                      "{\"name\":\"req\",\"cat\":\"req\",\"ph\":\"%c\","
-                      "%s\"id\":%u,\"ts\":%.3f,\"pid\":0,\"tid\":%d}",
-                      ph, ph == 'f' ? "\"bp\":\"e\"," : "",
-                      static_cast<unsigned>(ev.arg), ts, tid);
-        emit(buf);
-        // Plus a visible instant naming the transition.
-        std::snprintf(buf, sizeof(buf),
-                      "{\"name\":\"%s\",\"cat\":\"req\",\"ph\":\"i\","
-                      "\"ts\":%.3f,\"pid\":0,\"tid\":%d,\"s\":\"t\","
-                      "\"args\":{\"req\":%u,\"level\":%u}}",
-                      event_name(ev.kind), ts, tid,
-                      static_cast<unsigned>(ev.arg),
-                      static_cast<unsigned>(ev.level));
-        emit(buf);
-        continue;
-      }
-      if (ev.level != TraceEvent::kNoLevel16) {
-        std::snprintf(buf, sizeof(buf),
-                      "{\"name\":\"%s\",\"cat\":\"sched\",\"ph\":\"i\","
-                      "\"ts\":%.3f,\"pid\":0,\"tid\":%d,\"s\":\"t\","
-                      "\"args\":{\"level\":%u,\"arg\":%u}}",
-                      event_name(ev.kind), ts, tid,
-                      static_cast<unsigned>(ev.level),
-                      static_cast<unsigned>(ev.arg));
-      } else {
-        std::snprintf(buf, sizeof(buf),
-                      "{\"name\":\"%s\",\"cat\":\"sched\",\"ph\":\"i\","
-                      "\"ts\":%.3f,\"pid\":0,\"tid\":%d,\"s\":\"t\","
-                      "\"args\":{\"arg\":%u}}",
-                      event_name(ev.kind), ts, tid,
-                      static_cast<unsigned>(ev.arg));
-      }
-      emit(buf);
     }
   }
-  os << "]}";
+  os << buf;
 }
 
 std::string TraceSink::chrome_trace_json() const {

@@ -7,12 +7,12 @@
 #include <bit>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <unordered_map>
 
 #include "concurrent/cacheline.hpp"
 #include "concurrent/spinlock.hpp"
 #include "obs/flightrec.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace icilk::obs {
@@ -439,15 +439,14 @@ std::string Watchdog::write_bundle(const std::string& reason,
   b.trace = cfg_.trace;
   b.timeseries = cfg_.timeseries;
 
-  char name[256];
-  std::snprintf(name, sizeof name, "%s/%s_%d_%llu.json",
-                cfg_.bundle_dir.empty() ? "." : cfg_.bundle_dir.c_str(),
-                cfg_.bundle_prefix.c_str(), static_cast<int>(::getpid()),
-                static_cast<unsigned long long>(
-                    bundle_seq_.fetch_add(1, std::memory_order_relaxed)));
+  const std::string name =
+      (cfg_.bundle_dir.empty() ? "." : cfg_.bundle_dir) + "/" +
+      cfg_.bundle_prefix + "_" + std::to_string(::getpid()) + "_" +
+      std::to_string(bundle_seq_.fetch_add(1, std::memory_order_relaxed)) +
+      ".json";
   std::ofstream os(name, std::ios::out | std::ios::trunc);
   if (!os) return "";
-  write_flight_bundle(os, b);
+  os << flight_bundle_json(b);
   os.flush();
   if (!os) return "";
   {
@@ -521,65 +520,64 @@ std::string Watchdog::last_bundle_path() const {
 }
 
 std::string Watchdog::health_json() const {
-  WdSample s = latest();
-  std::ostringstream os;
-  os << "{\"watchdog\":{";
-  os << "\"compiled_in\":" << (watchdog_compiled_in() ? "true" : "false");
-  os << ",\"scheduler\":\"" << json_escape(cfg_.scheduler) << '"';
-  os << ",\"period_ms\":" << cfg_.period_ms;
-  os << ",\"samples\":" << samples();
-  os << ",\"gauges\":{";
-  os << "\"sleepers\":" << s.sleepers;
-  os << ",\"wakeups\":" << s.wakeups;
-  os << ",\"zero_transitions\":" << s.zero_transitions;
-  os << ",\"tasks_run\":" << s.tasks_run;
-  os << ",\"active_levels\":" << std::popcount(s.bitfield);
-  os << ",\"suspended\":" << s.suspended;
-  os << ",\"resumable\":" << s.resumable;
-  os << ",\"susp_age_max_ns\":" << s.susp_age_max_ns;
-  os << ",\"res_age_max_ns\":" << s.res_age_max_ns;
-  os << ",\"io_armed\":" << s.io_armed;
-  os << ",\"timers_pending\":" << s.timers_pending;
-  os << "},\"trips\":{";
-  for (int d = 0; d < kWdDetectorCount; ++d) {
-    if (d) os << ',';
-    os << '"' << wd_detector_name(static_cast<WdDetector>(d))
-       << "\":" << trips(static_cast<WdDetector>(d));
+  return json_object(
+      [this](JsonWriter& w) { write_health(w, this, cfg_.scheduler); });
+}
+
+void Watchdog::write_health(JsonWriter& w, const Watchdog* wd,
+                            std::string_view scheduler) {
+  auto o = w.object("watchdog");
+  w.field("compiled_in", watchdog_compiled_in());
+  if (wd == nullptr) {
+    w.field("running", false).field("scheduler", scheduler);
+    return;
   }
-  os << ",\"total\":" << trips_total();
-  os << "},\"bundles\":{\"written\":" << bundles_written();
-  os << ",\"last_path\":\"" << json_escape(last_bundle_path()) << "\"}";
-  os << "}}";
-  return os.str();
+  const WdSample s = wd->latest();
+  w.field("scheduler", wd->cfg_.scheduler);
+  w.field("period_ms", wd->cfg_.period_ms).field("samples", wd->samples());
+  {
+    auto g = w.object("gauges");
+    w.field("sleepers", s.sleepers).field("wakeups", s.wakeups);
+    w.field("zero_transitions", s.zero_transitions);
+    w.field("tasks_run", s.tasks_run);
+    w.field("active_levels", std::popcount(s.bitfield));
+    w.field("suspended", s.suspended).field("resumable", s.resumable);
+    w.field("susp_age_max_ns", s.susp_age_max_ns);
+    w.field("res_age_max_ns", s.res_age_max_ns);
+    w.field("io_armed", s.io_armed).field("timers_pending", s.timers_pending);
+  }
+  {
+    auto t = w.object("trips");
+    for (int d = 0; d < kWdDetectorCount; ++d) {
+      const auto det = static_cast<WdDetector>(d);
+      w.field(wd_detector_name(det), wd->trips(det));
+    }
+    w.field("total", wd->trips_total());
+  }
+  auto b = w.object("bundles");
+  w.field("written", wd->bundles_written());
+  w.field("last_path", wd->last_bundle_path());
 }
 
 std::string Watchdog::health_stats_text(const std::string& prefix,
                                         const std::string& eol) const {
-  WdSample s = latest();
-  std::ostringstream os;
-  auto add = [&](const char* name, long long v) {
-    os << "STAT " << prefix << "wd_" << name << ' ' << v << eol;
-  };
-  add("samples", static_cast<long long>(samples()));
-  add("period_ms", cfg_.period_ms);
-  add("sleepers", s.sleepers);
-  add("wakeups", static_cast<long long>(s.wakeups));
-  add("zero_transitions", static_cast<long long>(s.zero_transitions));
-  add("active_levels", std::popcount(s.bitfield));
-  add("suspended", s.suspended);
-  add("resumable", s.resumable);
-  add("susp_age_max_us", static_cast<long long>(s.susp_age_max_ns / 1000));
-  add("res_age_max_us", static_cast<long long>(s.res_age_max_ns / 1000));
-  add("io_armed", static_cast<long long>(s.io_armed));
-  add("timers_pending", static_cast<long long>(s.timers_pending));
+  const WdSample s = latest();
+  std::string out;
+  const StatLines st(out, prefix + "wd_", eol);
+  st.add("samples", samples()).add("period_ms", cfg_.period_ms);
+  st.add("sleepers", s.sleepers).add("wakeups", s.wakeups);
+  st.add("zero_transitions", s.zero_transitions);
+  st.add("active_levels", std::popcount(s.bitfield));
+  st.add("suspended", s.suspended).add("resumable", s.resumable);
+  st.add("susp_age_max_us", s.susp_age_max_ns / 1000);
+  st.add("res_age_max_us", s.res_age_max_ns / 1000);
+  st.add("io_armed", s.io_armed).add("timers_pending", s.timers_pending);
   for (int d = 0; d < kWdDetectorCount; ++d) {
-    std::string n = std::string("trips_") +
-                    wd_detector_name(static_cast<WdDetector>(d));
-    add(n.c_str(), static_cast<long long>(trips(static_cast<WdDetector>(d))));
+    const auto det = static_cast<WdDetector>(d);
+    st.add(std::string("trips_") + wd_detector_name(det), trips(det));
   }
-  add("trips_total", static_cast<long long>(trips_total()));
-  add("bundles", static_cast<long long>(bundles_written()));
-  return os.str();
+  st.add("trips_total", trips_total()).add("bundles", bundles_written());
+  return out;
 }
 
 }  // namespace icilk::obs

@@ -53,6 +53,7 @@
 #include <functional>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "concurrent/clock.hpp"
@@ -63,6 +64,7 @@
 
 namespace icilk::obs {
 
+class JsonWriter;
 class MetricsRegistry;
 class TraceSink;
 
@@ -305,6 +307,9 @@ class Watchdog {
   /// JSON health document: latest gauges, detector trip counts, bundle
   /// count (the /health endpoint body).
   std::string health_json() const;
+  /// Its "watchdog" member; the not-running form when `wd` is null.
+  static void write_health(JsonWriter& w, const Watchdog* wd,
+                           std::string_view scheduler);
   /// "STAT <prefix>wd_<name> <value>" lines (the `stats icilk health`
   /// group; eol is "\r\n" there).
   std::string health_stats_text(const std::string& prefix,

@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <chrono>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "core/api.hpp"
 #include "core/prompt_scheduler.hpp"
 #include "net/socket.hpp"
+#include "obs/reqtrace.hpp"
 
 namespace icilk::apps {
 namespace {
@@ -166,6 +168,28 @@ TEST_F(McStatsObsTest, StatsIcilkReportsSchedulerActivityUnderLoad) {
 
   // `stats icilk` is the scoped group: no kv-store lines.
   EXPECT_EQ(out.find("STAT get_hits"), std::string::npos) << out;
+}
+
+// Each STAT name appears once per reply: the request-latency group comes
+// from one renderer, not from both the registry text and the latency text.
+TEST_F(McStatsObsTest, StatsIcilkNamesAreUnique) {
+  drive_load(/*clients=*/4, /*rounds=*/20);
+  TestClient c(server_->port());
+  const std::string out = c.roundtrip("stats icilk\r\n", "END\r\n");
+  std::set<std::string> seen;
+  std::size_t lines = 0;
+  for (std::size_t at = out.find("STAT "); at != std::string::npos;
+       at = out.find("STAT ", at + 5)) {
+    const std::size_t sp = out.find(' ', at + 5);
+    const std::string name = out.substr(at + 5, sp - at - 5);
+    EXPECT_TRUE(seen.insert(name).second) << "repeated " << name << "\n"
+                                          << out;
+    ++lines;
+  }
+  EXPECT_GT(lines, 0u) << out;
+  if (obs::reqtrace_compiled_in()) {
+    EXPECT_GE(stat_value(out, "icilk_l1_req_count"), 1) << out;
+  }
 }
 
 TEST_F(McStatsObsTest, PlainStatsIncludesBothGroups) {

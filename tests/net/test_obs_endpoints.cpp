@@ -1,5 +1,7 @@
 // HTTP observability endpoints over real TCP: the /parallelism work/span
-// document and the /timeseries?n=K ring-window query parameter.
+// document, the /timeseries?n=K ring-window query parameter, and every
+// JSON surface parsed by obs/json's strict reader, including the bodies
+// served with the timeseries ring or the watchdog off.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -13,6 +15,7 @@
 #include "core/prompt_scheduler.hpp"
 #include "net/metrics_http.hpp"
 #include "net/socket.hpp"
+#include "obs/json.hpp"
 #include "obs/reqtrace.hpp"
 #include "obs/spanprof.hpp"
 #include "obs/timeseries.hpp"
@@ -71,16 +74,32 @@ std::size_t count_of(const std::string& hay, const std::string& needle) {
   return n;
 }
 
+/// The parsed body of an HTTP response; fails the test when it is not
+/// one well-formed JSON document.
+obs::json::Value json_body(const std::string& resp) {
+  obs::json::Value v;
+  std::string err;
+  const std::size_t at = resp.find("\r\n\r\n");
+  EXPECT_NE(at, std::string::npos) << resp;
+  if (at == std::string::npos) return v;
+  EXPECT_TRUE(obs::json::parse(resp.substr(at + 4), v, &err))
+      << err << "\n" << resp;
+  return v;
+}
+
 struct ObsEndpointsTest : ::testing::Test {
-  void SetUp() override {
+  void SetUp() override { start(/*timeseries=*/true, /*watchdog=*/false); }
+
+  void start(bool timeseries, bool watchdog) {
     RuntimeConfig cfg;
     cfg.num_workers = 2;
     cfg.num_levels = 4;
     // Huge epoch: the sampler never closes one on its own; the tests
     // close epochs deterministically with close_epoch().
-    cfg.timeseries_enabled = true;
+    cfg.timeseries_enabled = timeseries;
     cfg.timeseries_epoch_ms = 3600 * 1000;
     cfg.timeseries_epochs = 16;
+    cfg.watchdog_enabled = watchdog;
     rt = std::make_unique<Runtime>(cfg, std::make_unique<PromptScheduler>());
     http = std::make_unique<net::MetricsHttpServer>(
         *rt, nullptr, net::MetricsHttpServer::Config{});
@@ -96,7 +115,7 @@ struct ObsEndpointsTest : ::testing::Test {
     rt->submit(1, [&] {
       rt->req_begin();
       spawn([] {
-        volatile int x = 0;
+        volatile unsigned x = 0;
         for (int i = 0; i < 200000; ++i) x = x + i;
       });
       sync();
@@ -164,6 +183,10 @@ TEST_F(ObsEndpointsTest, TimeseriesWindowParamBoundsEpochs) {
   EXPECT_EQ(count_of(resp, "\"seq\":"), 5u);
   resp = http_get(http->port(), "GET /timeseries?n=99 HTTP/1.0\r\n\r\n");
   EXPECT_EQ(count_of(resp, "\"seq\":"), 5u);
+  // A number past a long's range falls back to the default (everything).
+  resp = http_get(http->port(),
+                  "GET /timeseries?n=99999999999999999999999 HTTP/1.0\r\n\r\n");
+  EXPECT_EQ(count_of(resp, "\"seq\":"), 5u);
 }
 
 TEST_F(ObsEndpointsTest, TimeseriesEpochsCarrySpanprofDeltas) {
@@ -180,6 +203,54 @@ TEST_F(ObsEndpointsTest, TimeseriesEpochsCarrySpanprofDeltas) {
     // The one request measured above must land in the one closed epoch.
     EXPECT_NE(resp.find("\"sp_reqs\":1"), std::string::npos);
   }
+}
+
+TEST_F(ObsEndpointsTest, JsonSurfacesParse) {
+  run_one_request();
+  rt->timeseries()->close_epoch(obs::WdSample{});
+  for (const char* path : {"/latency", "/parallelism", "/timeseries"}) {
+    const obs::json::Value doc = json_body(http_get(
+        http->port(), std::string("GET ") + path + " HTTP/1.0\r\n\r\n"));
+    EXPECT_EQ(doc.type, obs::json::Value::Type::kObject) << path;
+  }
+  // Watchdog off: the not-running member, with the profiler spliced in.
+  const obs::json::Value health =
+      json_body(http_get(http->port(), "GET /health HTTP/1.0\r\n\r\n"));
+  const obs::json::Value* wd = health.find("watchdog");
+  ASSERT_NE(wd, nullptr);
+  ASSERT_NE(wd->find("running"), nullptr);
+  EXPECT_FALSE(wd->find("running")->b);
+  EXPECT_NE(health.find("profiler"), nullptr);
+
+  if (rt->profiler() == nullptr) return;  // /profile answers 501 text
+  const obs::json::Value prof = json_body(http_get(
+      http->port(), "GET /profile?seconds=1&format=json HTTP/1.0\r\n\r\n"));
+  EXPECT_NE(prof.find("stacks"), nullptr);
+  EXPECT_NE(prof.find("modules"), nullptr);
+}
+
+/// The other side of each fallback: no timeseries ring, watchdog running.
+struct ObsEndpointsSwappedTest : ObsEndpointsTest {
+  void SetUp() override { start(/*timeseries=*/false, /*watchdog=*/true); }
+};
+
+TEST_F(ObsEndpointsSwappedTest, FallbackAndLiveBodiesParse) {
+  const obs::json::Value ts = json_body(
+      http_get(http->port(), "GET /timeseries HTTP/1.0\r\n\r\n"));
+  ASSERT_NE(ts.find("epochs"), nullptr);
+  EXPECT_TRUE(ts.find("epochs")->items.empty());
+  ASSERT_NE(ts.find("scheduler"), nullptr);
+  EXPECT_EQ(ts.find("scheduler")->str, rt->scheduler().name());
+
+  const obs::json::Value health =
+      json_body(http_get(http->port(), "GET /health HTTP/1.0\r\n\r\n"));
+  const obs::json::Value* wd = health.find("watchdog");
+  ASSERT_NE(wd, nullptr);
+  if (rt->watchdog() != nullptr) {
+    EXPECT_NE(wd->find("gauges"), nullptr);
+    EXPECT_NE(wd->find("trips"), nullptr);
+  }
+  EXPECT_NE(health.find("profiler"), nullptr);
 }
 
 TEST_F(ObsEndpointsTest, NotFoundHintNamesTheNewSurfaces) {

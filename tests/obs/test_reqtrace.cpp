@@ -8,6 +8,8 @@
 #include <thread>
 
 #include "concurrent/clock.hpp"
+#include "obs/exposition.hpp"
+#include "obs/metrics.hpp"
 #include "obs/reqtrace.hpp"
 
 namespace icilk::obs {
@@ -95,6 +97,40 @@ TEST(ReqContext, HopOverflowCountsDrops) {
   const std::uint64_t total = rc->close();
   EXPECT_EQ(rc->phase_sum_ns(), total);
   ReqContext::destroy(rc);
+}
+
+// The worst-K STAT line carries the whole timeline, however long: a full
+// kMaxHops request with ms-scale offsets and dropped hops renders every
+// hop plus the ",..." marker that flags the overflow.
+TEST(ReqContext, WorstLineKeepsEveryHopAndDropMarker) {
+  ReqContext rc;
+  rc.id = 4242;
+  rc.priority = 1;
+  rc.begin_ns = 1000;
+  for (int i = 0; i < ReqContext::kMaxHops; ++i) {
+    rc.hops[i] = {rc.begin_ns + static_cast<std::uint64_t>(i) * 1500000 +
+                      123456789,
+                  ReqPhase::kSuspendedSync, ReqHop::kNoWhere};
+  }
+  rc.nhops = ReqContext::kMaxHops;
+  rc.hops_dropped = 5;
+  rc.end_ns = rc.begin_ns + 200000000;
+  MetricsRegistry m(2);
+  m.record_request(rc, rc.end_ns - rc.begin_ns);
+
+  const std::string text = latency_stats_text(m, "icilk_", "\n");
+  const std::size_t at = text.find("STAT icilk_l1_worst0 id=4242 ");
+  ASSERT_NE(at, std::string::npos) << text;
+  const std::string line = text.substr(at, text.find('\n', at) - at);
+  std::size_t hops = 0;
+  for (std::size_t p = line.find("suspended_sync@"); p != std::string::npos;
+       p = line.find("suspended_sync@", p + 1)) {
+    ++hops;
+  }
+  EXPECT_EQ(hops, static_cast<std::size_t>(ReqContext::kMaxHops)) << line;
+  EXPECT_NE(line.find("+157956us"), std::string::npos) << line;  // hop 24
+  ASSERT_GE(line.size(), 4u);
+  EXPECT_EQ(line.substr(line.size() - 4), ",...") << line;
 }
 
 TEST(ReqContext, IoHintRoutesNextSuspension) {

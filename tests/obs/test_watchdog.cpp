@@ -409,6 +409,16 @@ TEST(FlightBundle, MalformedUnknownMemberStillRejected) {
   EXPECT_FALSE(b.error.empty());
 }
 
+// Seeds are arbitrary 64-bit values; a bundle must replay the exact one,
+// past the 2^53 a double holds.
+TEST(FlightBundle, InjectSeedRoundTripsExactly) {
+  FlightBundle fb;
+  fb.inject_seed = 0xDEADBEEFCAFEBABEull;
+  const ParsedFlightBundle b = parse_flight_bundle(flight_bundle_json(fb));
+  ASSERT_TRUE(b.ok) << b.error;
+  EXPECT_EQ(b.inject_seed, 0xDEADBEEFCAFEBABEull);
+}
+
 TEST(FlightBundle, ParserRejectsGarbage) {
   EXPECT_FALSE(parse_flight_bundle("").ok);
   EXPECT_FALSE(parse_flight_bundle("{").ok);
