@@ -98,8 +98,8 @@ double sample_after(const std::string& text, const std::string& needle) {
 }  // namespace
 
 int main() {
-  if (!obs::reqtrace_compiled_in()) {
-    std::printf("RESULT smoke=attribution skipped=reqtrace_off\n");
+  if (!obs::compiled_in()) {
+    std::printf("RESULT smoke=attribution skipped=obs_off\n");
     return 0;
   }
 

@@ -131,7 +131,7 @@ struct McTrialOptions {
   /// When nonempty, profile the trial (sampling window spanning the whole
   /// load run) and write the merged on-CPU/off-CPU collapsed-stack file
   /// here (symbolize with scripts/flamegraph.py). No-op when built
-  /// ICILK_PROFILE=OFF.
+  /// ICILK_OBS=OFF.
   std::string profile_out;
   /// SIGPROF rate for profile_out windows; 0 = the runtime default (99).
   int profile_hz = 0;
@@ -212,7 +212,7 @@ inline McTrialResult run_mc_trial_icilk(const SchedFactory& make_sched,
   if (prof != nullptr && !prof->start(opt.profile_hz)) prof = nullptr;
   if (!opt.profile_out.empty() && prof == nullptr) {
     std::fprintf(stderr,
-                 "profile requested but unavailable (ICILK_PROFILE=OFF or "
+                 "profile requested but unavailable (ICILK_OBS=OFF or "
                  "window busy): %s\n",
                  opt.profile_out.c_str());
   }

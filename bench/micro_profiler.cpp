@@ -1,6 +1,6 @@
 // Codegen check for the sampling-profiler hooks (src/obs/profiler.hpp).
 //
-// Same contract as the watchdog/inject/trace hooks: with ICILK_PROFILE=OFF
+// Same contract as the watchdog/inject/trace hooks: with ICILK_OBS=OFF
 // every hook is an empty inline, so BM_SetContext and BM_ProfScope must be
 // indistinguishable from BM_Baseline (scripts/soak.sh additionally greps
 // the OFF-build hot-path objects for prof symbols). Compiled in, the hooks

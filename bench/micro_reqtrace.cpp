@@ -203,11 +203,11 @@ bool bench_runtime() {
 }  // namespace
 
 int main() {
-  if (!obs::reqtrace_compiled_in()) {
+  if (!obs::compiled_in()) {
     std::printf("RESULT bench=reqtrace mode=disabled pools=%s ops=0 "
                 "ns_per_op=0.0 allocs_per_op=0.0\n",
                 io_pools_enabled() ? "on" : "off");
-    // Class-level paths still work under ICILK_REQTRACE=OFF; measure them
+    // Class-level paths still work under ICILK_OBS=OFF; measure them
     // anyway (they are what the hooks would call).
   }
   bool ok = bench_begin_end();

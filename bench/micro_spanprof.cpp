@@ -11,10 +11,10 @@
 //                structural event (sp_strand_now: clock read, flush +
 //                restart), and the disarmed event (the per-event cost
 //                when RuntimeConfig::spanprof_enabled=false — one context
-//                load and branch). Under -DICILK_SPANPROF=OFF every hook
+//                load and branch). Under -DICILK_OBS=OFF every hook
 //                inlines to nothing and all three rows must collapse to
 //                the baseline — scripts/soak.sh gates on that in its
-//                spoff phase.
+//                obsoff phase.
 //   mc rows      minicached with the profiler off vs on across the fig1
 //                load ladder (2k/6k/10k rps), in adjacent pairs whose
 //                within-pair order a deterministic xorshift scrambles;
@@ -84,7 +84,7 @@ double timed_loop(Fn&& fn) {
 void hook_row(const char* mode, double ns_op) {
   std::printf("RESULT bench=spanprof mode=%s compiled_in=%d ops=%llu "
               "ns_per_op=%.2f\n",
-              mode, obs::spanprof_compiled_in() ? 1 : 0,
+              mode, obs::compiled_in() ? 1 : 0,
               static_cast<unsigned long long>(kOps), ns_op);
 }
 
@@ -103,7 +103,7 @@ HookCosts bench_hooks() {
   // Disarmed structural event: the per-event cost with the runtime kill
   // switch thrown (spanprof_enabled=false) — one context load + branch.
   // The result is deliberately unused: sp_strand_now is out-of-line when
-  // compiled in (the call can't be elided), and under ICILK_SPANPROF=OFF
+  // compiled in (the call can't be elided), and under ICILK_OBS=OFF
   // the inline stub must leave a loop identical to the baseline.
   obs::ThreadCtx& ctx = obs::thread_ctx();
   obs::sp_strand_arm(ctx, nullptr, false, 0);

@@ -1,6 +1,6 @@
 // Codegen check for the watchdog hooks (src/obs/watchdog.hpp).
 //
-// The contract mirrors the inject/trace subsystems: with ICILK_WATCHDOG=OFF
+// The contract mirrors the inject/trace subsystems: with ICILK_OBS=OFF
 // both hooks are constexpr no-ops, so BM_CensusNote and BM_PublishState
 // must be indistinguishable from BM_Baseline (scripts/soak.sh additionally
 // proves the OFF-build hot-path object files reference no watchdog symbols

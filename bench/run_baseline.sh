@@ -161,12 +161,8 @@ rows_or_null() { # rows_or_null <file> <json-fn>
   # scheduler stamps differ.
   echo "  \"scheduler\": \"${ICILK_SCHEDULER:-prompt}\","
   echo "  \"build_flags\": {"
-  echo "    \"ICILK_TRACE\": $(cache_flag ICILK_TRACE),"
+  echo "    \"ICILK_OBS\": $(cache_flag ICILK_OBS),"
   echo "    \"ICILK_INJECT\": $(cache_flag ICILK_INJECT),"
-  echo "    \"ICILK_REQTRACE\": $(cache_flag ICILK_REQTRACE),"
-  echo "    \"ICILK_WATCHDOG\": $(cache_flag ICILK_WATCHDOG),"
-  echo "    \"ICILK_PROFILE\": $(cache_flag ICILK_PROFILE),"
-  echo "    \"ICILK_SPANPROF\": $(cache_flag ICILK_SPANPROF),"
   echo "    \"ICILK_SANITIZE\": $(sed -n 's/^ICILK_SANITIZE:STRING=\(.*\)$/"\1"/p' "$BUILD_DIR/CMakeCache.txt" 2>/dev/null | grep . || echo null)"
   echo "  },"
   echo "  \"fig1_duration_s\": $FIG1_DURATION,"

@@ -147,7 +147,7 @@ void ICilkMcServer::connection_routine(int fd) {
             // percentiles plus the worst-K LEAST-parallel requests
             // (obs/spanprof.hpp). Empty (just the flag) when the profiler
             // is compiled out or no request completed yet.
-            st.add("sp_compiled_in", obs::spanprof_compiled_in());
+            st.add("sp_compiled_in", obs::compiled_in());
             reply += obs::parallelism_stats_text(rt_->metrics(), "icilk_",
                                                  "\r\n");
           } else if (sub == "timeseries") {
@@ -362,7 +362,7 @@ std::string ICilkMcServer::health_stats_text() const {
   if (const obs::Watchdog* wd = rt_->watchdog()) {
     out += wd->health_stats_text("icilk_", "\r\n");
   } else {
-    st.add("wd_running", 0).add("wd_compiled_in", obs::watchdog_compiled_in());
+    st.add("wd_running", 0).add("wd_compiled_in", obs::compiled_in());
   }
   // Profiler state: rate, window count, and — the reason this line
   // exists — the dropped-sample counter, so ring overflow under overload

@@ -109,7 +109,7 @@ class FutureStateBase : public RefCounted {
   // The finishing routine stores its totals BEFORE complete(); complete's
   // release on ready_ publishes them to any getter that observed ready().
   // Unconditionally present (layout independence); untouched when
-  // ICILK_SPANPROF=OFF. A future with sp_routine_ran()==false was
+  // ICILK_OBS=OFF. A future with sp_routine_ran()==false was
   // completed externally (reactor I/O, timer): the getter's measured wall
   // wait is then the request's serial floor and joins the span directly.
   void sp_store_routine(std::uint64_t work, std::uint64_t depth,

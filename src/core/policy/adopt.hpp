@@ -49,7 +49,7 @@ inline void adopt_stolen(Runtime& rt, Worker& w, TaskFiber* f,
                      f->st.req != nullptr
                          ? static_cast<std::uint32_t>(f->st.req->id)
                          : 0);
-#if ICILK_SPANPROF_ENABLED
+#if ICILK_OBS_ENABLED
   // No resumable stamp to measure on a steal (the continuation was never
   // parked-resumable); charge the estimated per-event burden instead.
   f->st.sp.bdepth += obs::sp_overhead_est();

@@ -35,7 +35,7 @@ Runtime::Runtime(const RuntimeConfig& cfg, std::unique_ptr<Scheduler> sched)
       sched_(std::move(sched)),
       stacks_(cfg.stack_size) {
   assert(cfg_.num_workers >= 1);
-#if ICILK_SPANPROF_ENABLED
+#if ICILK_OBS_ENABLED
   // Calibrate the TSC->ns factor BEFORE any worker arms a strand clock:
   // the lazy first calibration sleeps ~20ms, which must never be charged
   // to a strand.
@@ -48,7 +48,7 @@ Runtime::Runtime(const RuntimeConfig& cfg, std::unique_ptr<Scheduler> sched)
     workers_[i]->trace =
         &trace_.acquire_ring("worker" + std::to_string(i));
   }
-#if ICILK_PROFILE_ENABLED
+#if ICILK_OBS_ENABLED
   {
     // Must exist before the first worker thread runs: worker_main
     // registers with the profiler in its prologue. Cold until a window
@@ -74,7 +74,7 @@ Runtime::Runtime(const RuntimeConfig& cfg, std::unique_ptr<Scheduler> sched)
     tc.scheduler = sched_->name();
     timeseries_ = std::make_unique<obs::TimeSeries>(tc);
   }
-#if ICILK_WATCHDOG_ENABLED
+#if ICILK_OBS_ENABLED
   if (cfg_.watchdog_enabled) {
     obs::Watchdog::Config wc;
     wc.period_ms = cfg_.watchdog_period_ms;
@@ -138,7 +138,7 @@ void Runtime::sampler_main() {
     obs::WdSample s;
     s.t_ns = now_ns();
     wd_fill_sample(s);
-#if ICILK_WATCHDOG_ENABLED
+#if ICILK_OBS_ENABLED
     if (watchdog_) watchdog_->sample_once(s);
 #endif
     if (timeseries_ && timeseries_->due(s.t_ns)) timeseries_->close_epoch(s);
@@ -170,7 +170,7 @@ void Runtime::wd_fill_sample(obs::WdSample& s) const {
   for (int p = 0; p < s.num_levels; ++p) {
     s.census[p] = census_[p].value.load(std::memory_order_relaxed);
   }
-#if ICILK_WATCHDOG_ENABLED  // the census registry is the watchdog's
+#if ICILK_OBS_ENABLED  // the census registry is the watchdog's
   obs::wd_census_fill(s, s.t_ns);
 #endif
   s.io_armed = metrics_.io_gauge(obs::IoGauge::kArmedOps);
@@ -292,10 +292,10 @@ void Runtime::finish_task(TaskFiber* tf) {
   w->stats.tasks_run++;
   // Close the final strand now: the totals feed the future handoff and the
   // parent-frame merge below, both of which must precede our join
-  // decrement / completion. (Folds to nothing when ICILK_SPANPROF=OFF.)
+  // decrement / completion. (Folds to nothing when ICILK_OBS=OFF.)
   obs::sp_strand_now();
 
-#if ICILK_REQTRACE_ENABLED
+#if ICILK_OBS_ENABLED
   if (tf->st.req_owner) {
     // Safety net: the root task ended without req_end (early return or
     // exception path). Record the timeline rather than leak/lose it.
@@ -309,7 +309,7 @@ void Runtime::finish_task(TaskFiber* tf) {
   assert(tf->st.frame.parked.load(std::memory_order_relaxed) == nullptr);
 
   if (tf->st.future) {
-#if ICILK_SPANPROF_ENABLED
+#if ICILK_OBS_ENABLED
     // Routine->getter span handoff: stored before complete(), whose
     // release on ready_ publishes it to every getter.
     tf->st.future->sp_store_routine(tf->st.sp.work, tf->st.sp.depth,
@@ -615,7 +615,7 @@ Priority Runtime::current_priority() const {
 // ---------------------------------------------------------------------------
 
 std::uint64_t Runtime::req_begin(std::uint64_t arrival_ns) {
-#if ICILK_REQTRACE_ENABLED
+#if ICILK_OBS_ENABLED
   Worker* w = this_worker();
   assert(w != nullptr && w->current != nullptr &&
          "req_begin must be called from task code");
@@ -652,7 +652,7 @@ void Runtime::req_end() { req_finish(true); }
 void Runtime::req_abort() { req_finish(false); }
 
 void Runtime::req_finish(bool record) {
-#if ICILK_REQTRACE_ENABLED
+#if ICILK_OBS_ENABLED
   Worker* w = this_worker();
   assert(w != nullptr && w->current != nullptr);
   TaskFiber* self = w->current;
@@ -666,7 +666,7 @@ void Runtime::req_finish(bool record) {
 #endif
 }
 
-#if ICILK_REQTRACE_ENABLED
+#if ICILK_OBS_ENABLED
 void Runtime::close_request(Worker& w, TaskState& st, bool record) {
   obs::ReqContext* rc = st.req;
   const std::uint64_t total = rc->close();
@@ -674,7 +674,6 @@ void Runtime::close_request(Worker& w, TaskState& st, bool record) {
                      static_cast<std::uint32_t>(rc->id));
   if (record) {
     metrics_.record_request(*rc, total);
-#if ICILK_SPANPROF_ENABLED
     // Every child has joined, so the fiber's accumulators hold the whole
     // request DAG; deltas against the req_begin baselines are this
     // request's work and span.
@@ -685,14 +684,13 @@ void Runtime::close_request(Worker& w, TaskState& st, bool record) {
                                   st.sp.depth - st.sp.req_depth0,
                                   st.sp.bdepth - st.sp.req_bdepth0);
     }
-#endif
   }
   st.req = nullptr;
   st.req_owner = false;
   obs::thread_ctx().req = nullptr;
   obs::ReqContext::destroy(rc);
 }
-#endif  // ICILK_REQTRACE_ENABLED
+#endif  // ICILK_OBS_ENABLED
 
 // ---------------------------------------------------------------------------
 // Futures: waiting and completion
@@ -734,8 +732,7 @@ void future_wait_slow(FutureStateBase& st) {
   // Wall clock around the park: for an EXTERNALLY completed future (I/O,
   // timer — no routine ran) the measured wait is the serial floor of the
   // request and joins the span directly in sp_join_future.
-  const std::uint64_t sp_wall0 =
-      obs::spanprof_compiled_in() ? now_ns() : 0;
+  const std::uint64_t sp_wall0 = obs::compiled_in() ? now_ns() : 0;
   rt.park_current([&rt, &st, self = w->current] {
     Worker& w2 = *this_worker();
     Ref<Deque> d = w2.active;
@@ -749,8 +746,7 @@ void future_wait_slow(FutureStateBase& st) {
     }
   });
   assert(st.ready());
-  sp_join_future(st,
-                 obs::spanprof_compiled_in() ? now_ns() - sp_wall0 : 0);
+  sp_join_future(st, obs::compiled_in() ? now_ns() - sp_wall0 : 0);
 }
 
 FutureStateBase::~FutureStateBase() {

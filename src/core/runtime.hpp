@@ -113,7 +113,7 @@ class Runtime {
   /// binds it to the fiber chain: it follows the root through parks,
   /// steals, mugs, abandonment, and I/O suspensions, and is inherited by
   /// spawned children (for I/O-op tagging only). Returns the request id
-  /// (0 when ICILK_REQTRACE=OFF). Task code only; nested calls on a task
+  /// (0 when ICILK_OBS=OFF). Task code only; nested calls on a task
   /// already owning a request return its existing id.
   std::uint64_t req_begin(std::uint64_t arrival_ns = 0);
 
@@ -157,15 +157,15 @@ class Runtime {
 
   /// Event trace rings (one per worker, plus reactor threads). Recording
   /// is gated by the sink's enable flag (cfg.trace_events, or toggled
-  /// live) and compiled out entirely under ICILK_TRACE=OFF.
+  /// live) and compiled out entirely under ICILK_OBS=OFF.
   obs::TraceSink& trace_sink() noexcept { return trace_; }
 
   /// The flight-recorder watchdog (continuous invariant sampling +
   /// post-mortem bundles; src/obs/watchdog.hpp). Non-null only when
-  /// cfg.watchdog_enabled and built ICILK_WATCHDOG=ON, so callers must
+  /// cfg.watchdog_enabled and built ICILK_OBS=ON, so callers must
   /// null-check. Defined in both build modes so app/server code that
   /// surfaces watchdog state compiles unconditionally.
-#if ICILK_WATCHDOG_ENABLED
+#if ICILK_OBS_ENABLED
   obs::Watchdog* watchdog() noexcept { return watchdog_.get(); }
   const obs::Watchdog* watchdog() const noexcept { return watchdog_.get(); }
 #else
@@ -182,10 +182,10 @@ class Runtime {
   }
 
   /// The sampling profiler (src/obs/profiler.hpp). Always constructed
-  /// when built ICILK_PROFILE=ON (it is cold until a window opens);
+  /// when built ICILK_OBS=ON (it is cold until a window opens);
   /// nullptr when compiled out, so callers must null-check. Defined in
   /// both build modes so endpoint/server code compiles unconditionally.
-#if ICILK_PROFILE_ENABLED
+#if ICILK_OBS_ENABLED
   obs::Profiler* profiler() noexcept { return profiler_.get(); }
   const obs::Profiler* profiler() const noexcept { return profiler_.get(); }
 #else
@@ -322,7 +322,7 @@ class Runtime {
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
   std::atomic<bool> shutdown_{false};
-#if ICILK_WATCHDOG_ENABLED
+#if ICILK_OBS_ENABLED
   std::unique_ptr<obs::Watchdog> watchdog_;
 #endif
   std::unique_ptr<obs::TimeSeries> timeseries_;
@@ -330,7 +330,7 @@ class Runtime {
   std::mutex sampler_mu_;
   std::condition_variable sampler_cv_;
   bool sampler_stop_ = false;  ///< guarded by sampler_mu_
-#if ICILK_PROFILE_ENABLED
+#if ICILK_OBS_ENABLED
   std::unique_ptr<obs::Profiler> profiler_;
 #endif
 
@@ -376,10 +376,10 @@ inline bool preop_gate_pass(Scheduler& sched, const Worker& w) noexcept {
 /// Spanprof half of get(): joins the producing routine's span (and, once,
 /// its work) into the caller, or — for externally-completed futures
 /// (reactor I/O, timers) — adds the measured wall wait as serial floor.
-/// Folds to nothing when ICILK_SPANPROF=OFF. `wait_wall_ns` is nonzero
+/// Folds to nothing when ICILK_OBS=OFF. `wait_wall_ns` is nonzero
 /// only on the suspension path (future_wait_slow).
 inline void sp_join_future(FutureStateBase& fu, std::uint64_t wait_wall_ns) {
-#if ICILK_SPANPROF_ENABLED
+#if ICILK_OBS_ENABLED
   if (fu.sp_routine_ran()) {
     obs::SpanAcc* acc = obs::sp_strand_now();
     if (acc == nullptr) return;

@@ -71,7 +71,7 @@ struct Frame {
   /// depth/bdepth (max) here BEFORE its seq_cst `joins` decrement, so the
   /// join protocol's happens-before publishes the merge; the parent folds
   /// them at sync (sp_fold_frame). Unconditionally present (layout
-  /// independence); never touched when ICILK_SPANPROF=OFF.
+  /// independence); never touched when ICILK_OBS=OFF.
   std::atomic<std::uint64_t> sp_child_work{0};
   std::atomic<std::uint64_t> sp_child_depth{0};
   std::atomic<std::uint64_t> sp_child_bdepth{0};
@@ -174,10 +174,10 @@ inline Continuation Continuation::of_fiber(TaskFiber* f) {
 // ---------------------------------------------------------------------------
 // Spanprof structural-event algebra (obs/spanprof.hpp holds the strand
 // clock; these helpers hold the Frame/Continuation halves). All fold to
-// nothing when ICILK_SPANPROF=OFF.
+// nothing when ICILK_OBS=OFF.
 // ---------------------------------------------------------------------------
 
-#if ICILK_SPANPROF_ENABLED
+#if ICILK_OBS_ENABLED
 
 /// A finishing child deposits its totals into the parent frame's merge
 /// slots: work sums, depth/bdepth max-merge (CAS loops; fetch_max is not in
@@ -229,12 +229,12 @@ inline void sp_charge_resume(const Continuation& c,
   if (c.resume != nullptr) c.resume->st.sp.bdepth += delay_ns;
 }
 
-#else  // !ICILK_SPANPROF_ENABLED
+#else  // !ICILK_OBS_ENABLED
 
 inline void sp_merge_child_into(Frame&, const obs::SpanAcc&) noexcept {}
 inline void sp_fold_frame(TaskState&) noexcept {}
 inline void sp_charge_resume(const Continuation&, std::uint64_t) noexcept {}
 
-#endif  // ICILK_SPANPROF_ENABLED
+#endif  // ICILK_OBS_ENABLED
 
 }  // namespace icilk

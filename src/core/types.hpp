@@ -66,14 +66,14 @@ struct RuntimeConfig {
   bool worker_io_polling = true;
   /// Record scheduler events into the per-worker trace rings from startup
   /// (src/obs/trace.hpp). Can also be toggled at runtime via
-  /// Runtime::trace_sink().set_enabled(); no-op when built ICILK_TRACE=OFF.
+  /// Runtime::trace_sink().set_enabled(); no-op when built ICILK_OBS=OFF.
   bool trace_events = false;
   /// Capacity (events, rounded up to a power of two) of each trace ring.
   std::size_t trace_ring_capacity = std::size_t{1} << 15;
   /// Run the watchdog/flight recorder (src/obs/watchdog.hpp) on the obs
   /// sampler thread: periodic scheduler-state snapshots, invariant
   /// detectors, and post-mortem bundle dumps. No-op when built
-  /// ICILK_WATCHDOG=OFF.
+  /// ICILK_OBS=OFF.
   bool watchdog_enabled = false;
   /// Watchdog sampling period; also the sampler's tick while it is on.
   int watchdog_period_ms = 10;
@@ -85,7 +85,7 @@ struct RuntimeConfig {
 
   /// Default SIGPROF sample rate for profiler windows opened without an
   /// explicit rate (src/obs/profiler.hpp). The profiler itself is always
-  /// constructed when built ICILK_PROFILE=ON but its per-thread timers
+  /// constructed when built ICILK_OBS=ON but its per-thread timers
   /// stay disarmed until a window opens (/profile, `stats icilk profile`,
   /// or bench --profile-out), so this costs nothing at rest.
   int profiler_hz = 99;
@@ -106,7 +106,7 @@ struct RuntimeConfig {
   /// per-dispatch strand clock and the structural-event merge algebra that
   /// feed per-priority work/span/parallelism telemetry (`/parallelism`,
   /// `stats icilk parallelism`, flight bundles, the timeseries ring).
-  /// Runtime kill switch only — ICILK_SPANPROF=OFF removes the hooks from
+  /// Runtime kill switch only — ICILK_OBS=OFF removes the hooks from
   /// the build entirely.
   bool spanprof_enabled = true;
   /// Strand-clock selection for the profiler. false (default): invariant

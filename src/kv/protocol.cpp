@@ -69,8 +69,13 @@ Request bad(std::string msg) {
 }  // namespace
 
 bool RequestParser::take_line(std::string_view& line) {
-  const std::size_t nl = buf_.find(kCrlf, pos_);
-  if (nl == std::string::npos) return false;
+  // Resume where the last failed search stopped, one byte back so a CRLF
+  // split across two feeds is still found: each byte is scanned once.
+  const std::size_t nl = buf_.find(kCrlf, scan_ > pos_ ? scan_ - 1 : pos_);
+  if (nl == std::string::npos) {
+    scan_ = buf_.size();
+    return false;
+  }
   line = std::string_view(buf_).substr(pos_, nl - pos_);
   pos_ = nl + 2;
   return true;
@@ -79,6 +84,7 @@ bool RequestParser::take_line(std::string_view& line) {
 void RequestParser::compact() {
   if (pos_ > 4096 && pos_ * 2 >= buf_.size()) {
     buf_.erase(0, pos_);
+    scan_ = scan_ > pos_ ? scan_ - pos_ : 0;
     pos_ = 0;
   }
 }
@@ -105,7 +111,20 @@ bool RequestParser::next(Request& out) {
   // must stay valid through tokenization.
   compact();
   std::string_view line;
-  if (!take_line(line)) return false;
+  const bool got = take_line(line);
+  // Without a CRLF the line holds every pending byte but a trailing '\r',
+  // which may yet start the CRLF.
+  const std::size_t len =
+      got ? line.size()
+          : pending_bytes() - (pending_bytes() != 0 && buf_.back() == '\r');
+  if (len > kMaxLineBytes) {
+    buf_.clear();
+    pos_ = scan_ = 0;
+    out = bad("line too long");
+    out.fatal = true;
+    return true;
+  }
+  if (!got) return false;
 
   const auto toks = tokenize(line);
   if (toks.empty()) {
@@ -372,7 +391,7 @@ bool execute_impl(const Request& req, Store& store, Sink& out,
       out += "CLIENT_ERROR ";
       out += req.error;
       out += "\r\n";
-      return true;
+      return !req.fatal;
   }
   return true;
 }

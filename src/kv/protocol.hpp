@@ -56,6 +56,7 @@ struct Request {
   std::string data;  // value payload for storage commands
   bool noreply = false;
   std::string error;
+  bool fatal = false;  ///< Bad that closes the connection (line too long)
 };
 
 /// Incremental parser: feed bytes as they arrive, pull complete requests.
@@ -63,6 +64,12 @@ struct Request {
 /// next() returns false until the full request has arrived.
 class RequestParser {
  public:
+  /// Longest command line accepted (a storage command's data block is
+  /// not a line). Past it, with or without a CRLF yet, next() drops the
+  /// buffered bytes and yields a fatal Bad: `CLIENT_ERROR line too long`,
+  /// then the connection closes, as memcached does.
+  static constexpr std::size_t kMaxLineBytes = 8192;
+
   /// Appends raw bytes from the connection.
   void feed(const char* data, std::size_t len) { buf_.append(data, len); }
   void feed(std::string_view s) { buf_.append(s); }
@@ -81,6 +88,7 @@ class RequestParser {
 
   std::string buf_;
   std::size_t pos_ = 0;
+  std::size_t scan_ = 0;  ///< buf_ end at the last CRLF search that failed
 
   // storage-command continuation state (line parsed, awaiting data block)
   bool awaiting_data_ = false;

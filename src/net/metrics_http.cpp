@@ -143,7 +143,7 @@ std::string MetricsHttpServer::profile_body(std::string_view query, bool& ok,
   ok = false;
   obs::Profiler* prof = rt_.profiler();
   if (prof == nullptr) {
-    return "profiler not compiled in (-DICILK_PROFILE=OFF)\n";
+    return "profiler not compiled in (-DICILK_OBS=OFF)\n";
   }
   long seconds = query_param(query, "seconds", 2);
   if (seconds < 1) seconds = 1;

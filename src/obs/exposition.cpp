@@ -346,7 +346,7 @@ std::string latency_stats_text(const MetricsRegistry& m,
 
 std::string parallelism_json(const MetricsRegistry& m) {
   return json_object([&m](JsonWriter& w) {
-    w.field("compiled_in", spanprof_compiled_in())
+    w.field("compiled_in", compiled_in())
         .field("requests", m.sp_total_requests())
         .fixed("work_ms", static_cast<double>(m.sp_total_work_ns()) / 1e6, 3)
         .fixed("span_ms", static_cast<double>(m.sp_total_span_ns()) / 1e6,

@@ -7,9 +7,6 @@
 #include "obs/exposition.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
-#include "obs/reqtrace.hpp"
-#include "obs/spanprof.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 
@@ -22,16 +19,12 @@ std::string build_flags_string() {
     out += name;
     out += on ? "=ON" : "=OFF";
   };
-  flag("trace", trace_compiled_in());
+  flag("obs", compiled_in());
 #if defined(ICILK_INJECT_ENABLED) && ICILK_INJECT_ENABLED == 0
   flag("inject", false);
 #else
   flag("inject", true);
 #endif
-  flag("reqtrace", reqtrace_compiled_in());
-  flag("watchdog", ICILK_WATCHDOG_ENABLED != 0);
-  flag("profile", ICILK_PROFILE_ENABLED != 0);
-  flag("spanprof", ICILK_SPANPROF_ENABLED != 0);
 #if defined(__SANITIZE_THREAD__)
   out += " sanitize=thread";
 #elif defined(__SANITIZE_ADDRESS__)

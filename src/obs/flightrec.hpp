@@ -29,7 +29,7 @@ namespace icilk::obs {
 
 class TimeSeries;
 
-/// "trace=ON inject=OFF ..." — the compile-time feature flags of THIS
+/// "obs=ON inject=OFF ..." — the compile-time feature flags of THIS
 /// binary, stamped into bundles so a dump from an OFF build can't be
 /// mistaken for one with full hooks.
 std::string build_flags_string();

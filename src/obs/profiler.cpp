@@ -554,7 +554,7 @@ bool Profiler::write_folded(const ProfileReport& r, const std::string& path) {
 
 std::string prof_health_json(const Profiler* p) {
   return json_object([p](JsonWriter& w) {
-    w.field("compiled_in", profile_compiled_in());
+    w.field("compiled_in", compiled_in());
     w.field("running", p != nullptr && p->running());
     if (p == nullptr) return;
     w.field("hz", p->running() ? p->hz() : p->config().default_hz);
@@ -568,7 +568,7 @@ std::string prof_health_stats_text(const Profiler* p,
                                    const std::string& eol) {
   std::string out;
   const StatLines st(out, prefix + "prof_", eol);
-  st.add("compiled_in", profile_compiled_in());
+  st.add("compiled_in", compiled_in());
   st.add("running", p != nullptr && p->running());
   if (p == nullptr) return out;
   st.add("hz", p->running() ? p->hz() : p->config().default_hz);
@@ -581,7 +581,7 @@ std::string prof_health_stats_text(const Profiler* p,
 // Hot-path hook backing (compiled-in builds only)
 // ---------------------------------------------------------------------------
 
-#if ICILK_PROFILE_ENABLED
+#if ICILK_OBS_ENABLED
 
 std::uint32_t prof_context() noexcept {
   return thread_ctx().prof_word.load(std::memory_order_relaxed);
@@ -612,6 +612,6 @@ void prof_unregister_thread(Profiler* p) noexcept {
   if (p != nullptr) p->unregister_current_thread();
 }
 
-#endif  // ICILK_PROFILE_ENABLED
+#endif  // ICILK_OBS_ENABLED
 
 }  // namespace icilk::obs

@@ -41,9 +41,9 @@
 //     profiling with injected faults layered on top.
 //
 // Cost model (mirrors trace/inject/reqtrace/watchdog):
-//   * ICILK_PROFILE=OFF (-DICILK_PROFILE_ENABLED=0): every hook below
+//   * ICILK_OBS=OFF (-DICILK_OBS_ENABLED=0): every hook below
 //     inlines to nothing; no hot-path object references a profiler symbol
-//     (scripts/soak.sh profoff proves it, plus probe==baseline in
+//     (scripts/soak.sh obsoff proves it, plus probe==baseline in
 //     bench/micro_profiler). The Profiler class itself stays compiled
 //     (endpoints and tests reference it) but the runtime never
 //     instantiates one.
@@ -61,18 +61,11 @@
 #include <string>
 #include <vector>
 
-#if !defined(ICILK_PROFILE_ENABLED)
-#define ICILK_PROFILE_ENABLED 1
-#endif
+#include "obs/compiled_in.hpp"
 
 namespace icilk::obs {
 
 class MetricsRegistry;
-
-/// True when the profiler hooks were compiled in.
-constexpr bool profile_compiled_in() noexcept {
-  return ICILK_PROFILE_ENABLED != 0;
-}
 
 // ---------------------------------------------------------------------------
 // Attribution word
@@ -272,7 +265,7 @@ std::string prof_health_stats_text(const Profiler* p,
 // into the per-thread context (obs/thread_ctx.hpp), whose dispatch bracket
 // publishes the task word. Nothing when compiled out.
 
-#if ICILK_PROFILE_ENABLED
+#if ICILK_OBS_ENABLED
 
 /// The calling thread's attribution word (the handler reads it; tests
 /// assert on it).
@@ -291,18 +284,18 @@ void prof_unregister_thread(Profiler* p) noexcept;
 /// task's word — correct even if the check abandons and the fiber resumes
 /// on a different worker, because the restored word describes the task,
 /// not the thread.
-#else  // !ICILK_PROFILE_ENABLED
+#else  // !ICILK_OBS_ENABLED
 
 inline std::uint32_t prof_context() noexcept { return 0; }
 inline void prof_enter_bucket(ProfBucket, int = 0) noexcept {}
 inline void prof_register_thread(Profiler*, ProfThreadKind, int) noexcept {}
 inline void prof_unregister_thread(Profiler*) noexcept {}
 
-#endif  // ICILK_PROFILE_ENABLED
+#endif  // ICILK_OBS_ENABLED
 
 class ProfScope {
  public:
-#if ICILK_PROFILE_ENABLED
+#if ICILK_OBS_ENABLED
   ProfScope(ProfBucket b, int level) noexcept;
   ~ProfScope();
 #else

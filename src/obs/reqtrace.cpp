@@ -22,7 +22,7 @@ const char* req_phase_name(ReqPhase p) noexcept {
   return "?";
 }
 
-#if ICILK_REQTRACE_ENABLED
+#if ICILK_OBS_ENABLED
 ReqContext* req_current() noexcept { return thread_ctx().req; }
 #endif
 

@@ -30,11 +30,11 @@
 // run shows as suspended_sync — which is the correct answer to "why is
 // the root not finished yet".
 //
-// Compile-out: -DICILK_REQTRACE=OFF defines ICILK_REQTRACE_ENABLED=0 and
-// every req_hook_* below (and the dispatch bracket's request half)
-// inlines to nothing; the ReqContext class itself stays compiled (tests
-// and the micro bench drive it directly), but no hot-path object
-// references it (scripts/soak.sh reqoff verifies).
+// Compile-out: with -DICILK_OBS=OFF every req_hook_* below (and the
+// dispatch bracket's request half) inlines to nothing; the ReqContext
+// class itself stays compiled (tests and the micro bench drive it
+// directly), but no hot-path object references it (scripts/soak.sh
+// obsoff verifies).
 #pragma once
 
 #include <cstddef>
@@ -43,10 +43,6 @@
 #include "concurrent/clock.hpp"
 #include "concurrent/objpool.hpp"
 #include "obs/trace.hpp"
-
-#if !defined(ICILK_REQTRACE_ENABLED)
-#define ICILK_REQTRACE_ENABLED 1
-#endif
 
 namespace icilk::obs {
 
@@ -74,11 +70,6 @@ struct ReqHop {
 
   static constexpr std::int16_t kNoWhere = INT16_MIN;
 };
-
-/// True when the request-tracing hooks were compiled in.
-constexpr bool reqtrace_compiled_in() noexcept {
-  return ICILK_REQTRACE_ENABLED != 0;
-}
 
 /// The per-request context. Plain fields, no atomics: every transition is
 /// serialized by the deque lock or the continuation hand-off that moves
@@ -151,7 +142,7 @@ class ReqContext {
 // Hot-path hooks (deque / reactor call sites). The thread's binding lives
 // in the per-thread context (obs/thread_ctx.hpp).
 
-#if ICILK_REQTRACE_ENABLED
+#if ICILK_OBS_ENABLED
 
 /// The request context bound to the fiber currently running on this
 /// thread, or nullptr (scheduler context, external threads).
@@ -179,13 +170,13 @@ inline std::uint64_t req_hook_io_arm() noexcept {
   return rc->id;
 }
 
-#else  // !ICILK_REQTRACE_ENABLED
+#else  // !ICILK_OBS_ENABLED
 
 inline ReqContext* req_current() noexcept { return nullptr; }
 inline void req_hook_suspend(ReqContext*, bool) noexcept {}
 inline void req_hook_runnable(ReqContext*, bool) noexcept {}
 inline std::uint64_t req_hook_io_arm() noexcept { return 0; }
 
-#endif  // ICILK_REQTRACE_ENABLED
+#endif  // ICILK_OBS_ENABLED
 
 }  // namespace icilk::obs

@@ -1,6 +1,6 @@
 #include "obs/spanprof.hpp"
 
-#if ICILK_SPANPROF_ENABLED
+#if ICILK_OBS_ENABLED
 
 #include <atomic>
 
@@ -46,4 +46,4 @@ std::uint64_t sp_overhead_est() noexcept {
 
 }  // namespace icilk::obs
 
-#endif  // ICILK_SPANPROF_ENABLED
+#endif  // ICILK_OBS_ENABLED

@@ -41,25 +41,20 @@
 // reservoir keyed by reqtrace id) and surface via /metrics, /parallelism,
 // `stats icilk parallelism`, the timeseries ring and flight bundles.
 //
-// Build with -DICILK_SPANPROF=OFF and every hook folds to nothing
-// (nm-verified in CI and scripts/soak.sh spoff); bench/micro_spanprof
+// Build with -DICILK_OBS=OFF and every hook folds to nothing
+// (nm-verified in CI and scripts/soak.sh obsoff); bench/micro_spanprof
 // prices the hooks either way. RuntimeConfig::spanprof_enabled is the
 // runtime kill switch (dispatch simply never arms the strand clock).
 #pragma once
 
 #include <cstdint>
 
-#if !defined(ICILK_SPANPROF_ENABLED)
-#define ICILK_SPANPROF_ENABLED 1
-#endif
+#include "obs/compiled_in.hpp"
 
 namespace icilk::obs {
 
-/// True when the build carries the spanprof hooks (ICILK_SPANPROF=ON).
-constexpr bool spanprof_compiled_in() { return ICILK_SPANPROF_ENABLED != 0; }
-
 /// Per-task work/span accumulators. Plain POD, unconditionally present in
-/// TaskState so flipping ICILK_SPANPROF never changes task layout (the
+/// TaskState so flipping ICILK_OBS never changes task layout (the
 /// Worker::wd_state precedent); when compiled out nothing ever writes it.
 struct SpanAcc {
   std::uint64_t work = 0;    ///< CPU-ns: own strands + joined descendants (T1)
@@ -74,7 +69,7 @@ struct SpanAcc {
   void reset() noexcept { *this = SpanAcc{}; }
 };
 
-#if ICILK_SPANPROF_ENABLED
+#if ICILK_OBS_ENABLED
 
 /// Flushes the in-flight strand segment and restarts the clock; returns
 /// the armed acc (nullptr when disarmed). All structural-event hooks go
@@ -91,12 +86,12 @@ void sp_note_overhead(std::uint64_t delay_ns) noexcept;
 /// measured delay instead).
 std::uint64_t sp_overhead_est() noexcept;
 
-#else  // !ICILK_SPANPROF_ENABLED — every hook folds to nothing.
+#else  // !ICILK_OBS_ENABLED — every hook folds to nothing.
 
 inline SpanAcc* sp_strand_now() noexcept { return nullptr; }
 inline void sp_note_overhead(std::uint64_t) noexcept {}
 inline std::uint64_t sp_overhead_est() noexcept { return 0; }
 
-#endif  // ICILK_SPANPROF_ENABLED
+#endif  // ICILK_OBS_ENABLED
 
 }  // namespace icilk::obs

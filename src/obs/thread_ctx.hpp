@@ -10,7 +10,7 @@
 // noipa accessor thread_ctx() (the rule core/runtime.cpp's this_worker()
 // follows): never hold a ThreadCtx& across a park. The struct is
 // constant-initialised, so the SIGPROF handler may read it. Every field is
-// always present; each ICILK_* flag compiles out the code touching its own.
+// always present; ICILK_OBS=OFF compiles out the code touching them.
 #pragma once
 
 #include <atomic>
@@ -37,7 +37,7 @@ struct ThreadCtx {
 
 ThreadCtx& thread_ctx() noexcept;
 
-#if ICILK_SPANPROF_ENABLED
+#if ICILK_OBS_ENABLED
 /// Spanprof's half of the bracket. The TSC strand clock reuses the ticks
 /// the dispatch loop reads for its work clock; only the precise (thread
 /// CPU) clock reads its own. A null `acc` disarms.
@@ -74,24 +74,20 @@ inline void sp_strand_flush(ThreadCtx&, std::uint64_t) noexcept {}
 /// Returns the now_ticks() reading the run starts at.
 inline std::uint64_t strand_enter(ReqContext* req, bool owner, int level,
                                   SpanAcc* acc, bool precise) noexcept {
-#if ICILK_REQTRACE_ENABLED || ICILK_PROFILE_ENABLED || ICILK_SPANPROF_ENABLED
+#if ICILK_OBS_ENABLED
   ThreadCtx& c = thread_ctx();
-#endif
-#if ICILK_REQTRACE_ENABLED
   if (req != nullptr && owner) req->enter(ReqPhase::kExecuting);
   c.req = req;
-#endif
-#if ICILK_PROFILE_ENABLED
   c.prof_word.store(
       prof_pack(ProfBucket::kTask, level,
                 req != nullptr ? static_cast<std::uint16_t>(req->id) : 0),
       std::memory_order_relaxed);
-#endif
   const std::uint64_t t0 = now_ticks();
-#if ICILK_SPANPROF_ENABLED
   sp_strand_arm(c, acc, precise, t0);
-#endif
   return t0;
+#else
+  return now_ticks();
+#endif
 }
 
 /// The fiber switched back to the scheduler loop at `level`: closes the
@@ -99,17 +95,11 @@ inline std::uint64_t strand_enter(ReqContext* req, bool owner, int level,
 /// ended at.
 inline std::uint64_t strand_leave(int level) noexcept {
   const std::uint64_t t1 = now_ticks();
-#if ICILK_REQTRACE_ENABLED || ICILK_PROFILE_ENABLED || ICILK_SPANPROF_ENABLED
+#if ICILK_OBS_ENABLED
   ThreadCtx& c = thread_ctx();
-#endif
-#if ICILK_SPANPROF_ENABLED
   sp_strand_flush(c, t1);
-#endif
-#if ICILK_PROFILE_ENABLED
   c.prof_word.store(prof_pack(ProfBucket::kSchedLoop, level),
                     std::memory_order_relaxed);
-#endif
-#if ICILK_REQTRACE_ENABLED
   c.req = nullptr;
 #endif
   return t1;

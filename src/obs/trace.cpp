@@ -115,7 +115,7 @@ std::vector<TraceEvent> TraceRing::snapshot() const {
 
 TraceSink::TraceSink(std::size_t ring_capacity, bool enabled)
     : ring_capacity_(ring_capacity),
-      enabled_(enabled && trace_compiled_in()) {}
+      enabled_(enabled && compiled_in()) {}
 
 TraceRing& TraceSink::acquire_ring(const std::string& name) {
   std::lock_guard<std::mutex> g(mu_);

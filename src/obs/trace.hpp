@@ -10,9 +10,9 @@
 //      overwritten mid-read is detected by kind-range validation and
 //      dropped, never mis-decoded into UB (slots are pairs of relaxed
 //      atomics, so there is no data race even under TSan).
-//   3. Compile-out: configuring with -DICILK_TRACE=OFF defines
-//      ICILK_TRACE_ENABLED=0 and record() compiles to nothing, for the
-//      fig6-style waste/overhead runs that must match the untraced seed.
+//   3. Compile-out: with -DICILK_OBS=OFF (obs/compiled_in.hpp) record()
+//      compiles to nothing, for the fig6-style waste/overhead runs that
+//      must match the untraced seed.
 //
 // Records are fixed-size (16 bytes): a raw tick stamp (see clock.hpp) plus
 // a packed (kind, level, arg) word. The TraceSink owns all rings, the
@@ -29,10 +29,7 @@
 #include <vector>
 
 #include "concurrent/clock.hpp"
-
-#if !defined(ICILK_TRACE_ENABLED)
-#define ICILK_TRACE_ENABLED 1
-#endif
+#include "obs/compiled_in.hpp"
 
 namespace icilk::obs {
 
@@ -73,11 +70,6 @@ struct TraceEvent {
   static constexpr std::uint16_t kNoLevel16 = 0xffff;
 };
 
-/// True when tracing was compiled in (ICILK_TRACE=ON).
-constexpr bool trace_compiled_in() noexcept {
-  return ICILK_TRACE_ENABLED != 0;
-}
-
 /// Fixed-capacity single-writer ring. Overwrites the oldest record on wrap
 /// (a trace keeps the *last* capacity() events, which is what you want when
 /// attaching to a long-running server).
@@ -96,7 +88,7 @@ class TraceRing {
   /// Writer-side: records one event. Only the owning thread may call this.
   void record(EventKind k, std::uint16_t level = TraceEvent::kNoLevel16,
               std::uint32_t arg = 0) noexcept {
-#if ICILK_TRACE_ENABLED
+#if ICILK_OBS_ENABLED
     if (!enabled_->load(std::memory_order_relaxed)) return;
     const std::uint64_t h = head_.load(std::memory_order_relaxed);
     Slot& s = slots_[h & mask_];
@@ -172,7 +164,7 @@ class TraceSink {
   TraceRing& acquire_ring(const std::string& name);
 
   void set_enabled(bool on) noexcept {
-    enabled_.store(on && trace_compiled_in(), std::memory_order_relaxed);
+    enabled_.store(on && compiled_in(), std::memory_order_relaxed);
   }
   bool enabled() const noexcept {
     return enabled_.load(std::memory_order_relaxed);
@@ -211,9 +203,9 @@ class TraceSink {
 
 }  // namespace icilk::obs
 
-/// Hot-path record macro: compiles to nothing with ICILK_TRACE=OFF and to
+/// Hot-path record macro: compiles to nothing with ICILK_OBS=OFF and to
 /// a null-check + record otherwise. `ring` is a TraceRing* (may be null).
-#if ICILK_TRACE_ENABLED
+#if ICILK_OBS_ENABLED
 #define ICILK_TRACE_RECORD(ring, kind, level, arg)             \
   do {                                                         \
     if ((ring) != nullptr) {                                   \

@@ -42,7 +42,7 @@ const char* wd_detector_name(WdDetector d) noexcept {
 // Suspended/resumable census registry
 // ---------------------------------------------------------------------------
 
-#if ICILK_WATCHDOG_ENABLED
+#if ICILK_OBS_ENABLED
 
 namespace {
 
@@ -151,12 +151,12 @@ void wd_census_fill(WdSample& s, std::uint64_t now_ns) noexcept {
   s.res_oldest_age_ns = res_oldest_age;
 }
 
-#else  // !ICILK_WATCHDOG_ENABLED
+#else  // !ICILK_OBS_ENABLED
 
 WdCensusStats wd_census_stats() noexcept { return {}; }
 void wd_census_fill(WdSample&, std::uint64_t) noexcept {}
 
-#endif  // ICILK_WATCHDOG_ENABLED
+#endif  // ICILK_OBS_ENABLED
 
 // ---------------------------------------------------------------------------
 // SIGUSR2 plumbing
@@ -527,7 +527,7 @@ std::string Watchdog::health_json() const {
 void Watchdog::write_health(JsonWriter& w, const Watchdog* wd,
                             std::string_view scheduler) {
   auto o = w.object("watchdog");
-  w.field("compiled_in", watchdog_compiled_in());
+  w.field("compiled_in", compiled_in());
   if (wd == nullptr) {
     w.field("running", false).field("scheduler", scheduler);
     return;

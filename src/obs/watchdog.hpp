@@ -33,9 +33,9 @@
 // deque addresses — the deque hooks below never get dereferenced here.
 //
 // Cost model (mirrors inject/reqtrace):
-//   * ICILK_WATCHDOG=OFF (-DICILK_WATCHDOG_ENABLED=0): every hook in this
+//   * ICILK_OBS=OFF (-DICILK_OBS_ENABLED=0): every hook in this
 //     header inlines to nothing; no hot-path object references a watchdog
-//     symbol (scripts/soak.sh wdoff proves it, plus probe==baseline in
+//     symbol (scripts/soak.sh obsoff proves it, plus probe==baseline in
 //     bench/micro_watchdog). The Watchdog class itself stays compiled
 //     (tests drive it with synthetic samples), but the runtime never
 //     instantiates one.
@@ -57,21 +57,13 @@
 #include <vector>
 
 #include "concurrent/clock.hpp"
-
-#if !defined(ICILK_WATCHDOG_ENABLED)
-#define ICILK_WATCHDOG_ENABLED 1
-#endif
+#include "obs/compiled_in.hpp"
 
 namespace icilk::obs {
 
 class JsonWriter;
 class MetricsRegistry;
 class TraceSink;
-
-/// True when the watchdog hooks were compiled in.
-constexpr bool watchdog_compiled_in() noexcept {
-  return ICILK_WATCHDOG_ENABLED != 0;
-}
 
 // ---------------------------------------------------------------------------
 // The sampled state
@@ -155,7 +147,7 @@ struct WdSample {
 /// Census registry states. kGone removes the entry.
 enum class WdDequeState : std::uint8_t { kGone = 0, kSuspended, kResumable };
 
-#if ICILK_WATCHDOG_ENABLED
+#if ICILK_OBS_ENABLED
 
 /// Records deque `key` as suspended/resumable since `since_ns` at priority
 /// `level`, or removes it (kGone). Sharded; safe from any thread; `key` is
@@ -169,14 +161,14 @@ inline void wd_publish_state(std::atomic<std::uint32_t>& word,
   word.store(wd_pack_state(s, level), std::memory_order_relaxed);
 }
 
-#else  // !ICILK_WATCHDOG_ENABLED
+#else  // !ICILK_OBS_ENABLED
 
 inline void wd_census_note(const void*, WdDequeState, std::uint64_t,
                            int) noexcept {}
 inline void wd_publish_state(std::atomic<std::uint32_t>&, WdWorkerState,
                              int) noexcept {}
 
-#endif  // ICILK_WATCHDOG_ENABLED
+#endif  // ICILK_OBS_ENABLED
 
 /// Census registry aggregate (always available; empty when compiled out).
 struct WdCensusStats {

@@ -15,6 +15,7 @@
 #include "apps/memcached/pthread_server.hpp"
 #include "core/adaptive_scheduler.hpp"
 #include "core/prompt_scheduler.hpp"
+#include "kv/protocol.hpp"
 #include "net/socket.hpp"
 
 namespace icilk::apps {
@@ -227,6 +228,19 @@ TEST_P(McServerTest, QuitClosesConnection) {
   // Server closes: read returns EOF (empty result without terminator).
   const std::string rest = c.read_until("NEVER");
   EXPECT_EQ(rest, "");
+}
+
+TEST_P(McServerTest, OverlongLineGetsClientErrorAndClose) {
+  TestClient c(server_.port());
+  // A line of exactly the cap is still a command.
+  const std::size_t cap = kv::RequestParser::kMaxLineBytes;
+  EXPECT_EQ(c.roundtrip("get " + std::string(cap - 4, 'k') + "\r\n",
+                        "END\r\n"),
+            "END\r\n");
+  // One byte more, no CRLF: the whole line is read before the cap trips,
+  // so the close is a FIN and the reply is readable.
+  c.send(std::string(cap + 1, 'x'));
+  EXPECT_EQ(c.read_until("NEVER"), "CLIENT_ERROR line too long\r\n");
 }
 
 TEST_P(McServerTest, StatsReflectTraffic) {

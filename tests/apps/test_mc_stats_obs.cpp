@@ -187,7 +187,7 @@ TEST_F(McStatsObsTest, StatsIcilkNamesAreUnique) {
     ++lines;
   }
   EXPECT_GT(lines, 0u) << out;
-  if (obs::reqtrace_compiled_in()) {
+  if (obs::compiled_in()) {
     EXPECT_GE(stat_value(out, "icilk_l1_req_count"), 1) << out;
   }
 }
@@ -219,8 +219,8 @@ TEST_F(McStatsObsTest, PromptnessLatencyPercentilesAppear) {
 }
 
 TEST_F(McStatsObsTest, TraceSinkCapturedEvents) {
-  if (!obs::trace_compiled_in()) {
-    GTEST_SKIP() << "built with ICILK_TRACE=OFF";
+  if (!obs::compiled_in()) {
+    GTEST_SKIP() << "built with ICILK_OBS=OFF";
   }
   drive_load(/*clients=*/4, /*rounds=*/20);
 

@@ -209,7 +209,7 @@ TEST(InjectEngine, SingleActiveEngine) {
 }
 
 TEST(InjectEngine, InjectedDecisionsLandInTraceRing) {
-  if (!compiled_in() || !obs::trace_compiled_in()) {
+  if (!compiled_in() || !obs::compiled_in()) {
     GTEST_SKIP() << "hooks or tracing compiled out";
   }
   std::atomic<bool> enabled{true};

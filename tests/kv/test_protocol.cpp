@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
+
 #include "concurrent/rng.hpp"
 
 namespace icilk::kv {
@@ -112,6 +115,66 @@ TEST(Parser, OversizedValueRejected) {
   EXPECT_EQ(r.verb, Verb::Bad);
 }
 
+TEST(Parser, CrlfLessFloodEndsInLineTooLong) {
+  // A hostile client streams 16 MiB with no CRLF in 16 KiB reads: the
+  // parser never holds more than the cap plus one read, and every verdict
+  // is the fatal line-too-long error.
+  constexpr std::size_t kRead = 16384;
+  const std::string chunk(kRead, 'x');
+  RequestParser p;
+  Request r;
+  std::size_t errors = 0;
+  std::size_t max_pending = 0;
+  for (std::size_t fed = 0; fed < (16u << 20); fed += kRead) {
+    p.feed(chunk);
+    max_pending = std::max(max_pending, p.pending_bytes());
+    while (p.next(r)) {
+      ++errors;
+      EXPECT_EQ(r.verb, Verb::Bad);
+      EXPECT_EQ(r.error, "line too long");
+      EXPECT_TRUE(r.fatal);
+    }
+  }
+  EXPECT_GT(errors, 0u);
+  EXPECT_LE(max_pending, RequestParser::kMaxLineBytes + kRead);
+}
+
+TEST(Parser, LineCapSparesDataBlocks) {
+  // A line of exactly the cap parses; a data block far beyond it, fed in
+  // reads smaller than the block, is not a line.
+  const std::size_t cap = RequestParser::kMaxLineBytes;
+  const std::string at_cap = "get " + std::string(cap - 4, 'k');
+  EXPECT_EQ(parse_one(at_cap + "\r\n").verb, Verb::Get);
+  {
+    // ... also when its CRLF is split across two reads.
+    RequestParser p;
+    Request r;
+    p.feed(at_cap + "\r");
+    EXPECT_FALSE(p.next(r));
+    p.feed("\n");
+    ASSERT_TRUE(p.next(r));
+    EXPECT_EQ(r.verb, Verb::Get);
+  }
+  const std::string value(8 * cap, 'v');
+  const std::string wire =
+      "set k 0 0 " + std::to_string(value.size()) + "\r\n" + value + "\r\n";
+  RequestParser p;
+  Request r;
+  bool got = false;
+  for (std::size_t at = 0; at < wire.size(); at += 4096) {
+    p.feed(std::string_view(wire).substr(at, 4096));
+    if (p.next(r)) {
+      got = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(got);
+  EXPECT_EQ(r.verb, Verb::Set);
+  EXPECT_EQ(r.data, value);
+  EXPECT_EQ(parse_one(std::string(cap + 1, 'x') + "\r\n").error,
+            "line too long");
+}
+
 TEST(Parser, DeleteIncrTouch) {
   EXPECT_EQ(parse_one("delete k\r\n").verb, Verb::Delete);
   const Request i = parse_one("incr k 5\r\n");
@@ -207,6 +270,17 @@ TEST_F(ExecTest, BadCommandReportsClientError) {
   EXPECT_TRUE(out.rfind("CLIENT_ERROR", 0) == 0);
 }
 
+TEST_F(ExecTest, OverlongLineRepliesAndCloses) {
+  RequestParser p;
+  p.feed(std::string(RequestParser::kMaxLineBytes + 1, 'x'));
+  Request r;
+  ASSERT_TRUE(p.next(r));
+  std::string out;
+  EXPECT_FALSE(execute(r, store, out));  // fatal: close the connection
+  EXPECT_EQ(out, "CLIENT_ERROR line too long\r\n");
+  EXPECT_EQ(p.pending_bytes(), 0u);
+}
+
 }  // namespace
 }  // namespace icilk::kv
 
@@ -229,30 +303,36 @@ TEST(ParserProperty, ChunkingInvariance) {
     if (i % 4 == 0) wire += "delete key" + std::to_string(i) + " noreply\r\n";
     if (i % 5 == 0) wire += "stats\r\n";
   }
-  auto parse_with_chunks = [&](Xoshiro256& rng, bool random) {
+  // CRs inside data blocks, a "\r" that ends a line early, errors and
+  // noreply: fed one byte at a time, each of their CRLFs splits.
+  wire += "set a 1 0 4\r\n\r\n\r\n\r\ncas a 0 0 3 7 noreply\r\nx\ry\r\n"
+          "bogus\r\r\n\r\ntouch a 5\r\nstats icilk\r\nquit\r\n";
+  // chunk == 0: random reads of 1..97 bytes.
+  auto parse_with_chunks = [&](Xoshiro256& rng, std::size_t chunk) {
     RequestParser p;
     std::vector<std::pair<Verb, std::string>> seq;
     std::size_t pos = 0;
     while (pos < wire.size()) {
-      const std::size_t n =
-          random ? 1 + rng.bounded(97) : wire.size();  // random vs whole
+      const std::size_t n = chunk != 0 ? chunk : 1 + rng.bounded(97);
       const std::size_t take = std::min<std::size_t>(n, wire.size() - pos);
       p.feed(wire.data() + pos, take);
       pos += take;
       Request r;
       while (p.next(r)) {
-        seq.emplace_back(r.verb, (r.keys.empty() ? "" : r.keys[0]) + "|" +
-                                     r.data);
+        std::string k = r.data + "|" + r.error + "|" + (r.noreply ? "n" : "");
+        for (const auto& key : r.keys) k += "|" + key;
+        seq.emplace_back(r.verb, std::move(k));
       }
     }
     return seq;
   };
   Xoshiro256 rng0(0);
-  const auto reference = parse_with_chunks(rng0, false);
+  const auto reference = parse_with_chunks(rng0, wire.size());
   ASSERT_GT(reference.size(), 60u);
+  EXPECT_EQ(parse_with_chunks(rng0, 1), reference) << "byte at a time";
   for (std::uint64_t seed = 1; seed <= 30; ++seed) {
     Xoshiro256 rng(seed);
-    EXPECT_EQ(parse_with_chunks(rng, true), reference) << "seed " << seed;
+    EXPECT_EQ(parse_with_chunks(rng, 0), reference) << "seed " << seed;
   }
 }
 

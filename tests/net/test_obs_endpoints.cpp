@@ -135,7 +135,7 @@ TEST_F(ObsEndpointsTest, ParallelismEndpointServesJson) {
   EXPECT_NE(resp.find("application/json"), std::string::npos);
   EXPECT_NE(resp.find("\"compiled_in\":"), std::string::npos);
   EXPECT_NE(resp.find("\"levels\":["), std::string::npos);
-  if (obs::spanprof_compiled_in() && obs::reqtrace_compiled_in()) {
+  if (obs::compiled_in()) {
     EXPECT_NE(resp.find("\"compiled_in\":true"), std::string::npos);
     EXPECT_NE(resp.find("\"level\":1"), std::string::npos);
     EXPECT_NE(resp.find("\"parallelism\":{"), std::string::npos);
@@ -144,8 +144,8 @@ TEST_F(ObsEndpointsTest, ParallelismEndpointServesJson) {
 }
 
 TEST_F(ObsEndpointsTest, ParallelismSurfacesInPrometheusText) {
-  if (!obs::spanprof_compiled_in() || !obs::reqtrace_compiled_in()) {
-    GTEST_SKIP() << "spanprof or reqtrace compiled out";
+  if (!obs::compiled_in()) {
+    GTEST_SKIP() << "ICILK_OBS=OFF: hooks compiled out";
   }
   run_one_request();
   const std::string resp =
@@ -199,7 +199,7 @@ TEST_F(ObsEndpointsTest, TimeseriesEpochsCarrySpanprofDeltas) {
   EXPECT_NE(resp.find("\"sp_reqs\":"), std::string::npos);
   EXPECT_NE(resp.find("\"sp_work_ns\":"), std::string::npos);
   EXPECT_NE(resp.find("\"sp_span_ns\":"), std::string::npos);
-  if (obs::spanprof_compiled_in() && obs::reqtrace_compiled_in()) {
+  if (obs::compiled_in()) {
     // The one request measured above must land in the one closed epoch.
     EXPECT_NE(resp.find("\"sp_reqs\":1"), std::string::npos);
   }

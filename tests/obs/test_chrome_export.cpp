@@ -36,7 +36,7 @@ TEST(ChromeExport, EmptySinkIsValidJson) {
 }
 
 TEST(ChromeExport, EventsAndThreadMetadata) {
-  if (!trace_compiled_in()) GTEST_SKIP() << "built with ICILK_TRACE=OFF";
+  if (!compiled_in()) GTEST_SKIP() << "built with ICILK_OBS=OFF";
   TraceSink sink(64, true);
   TraceRing& w0 = sink.acquire_ring("worker0");
   TraceRing& io = sink.acquire_ring("io0");
@@ -62,7 +62,7 @@ TEST(ChromeExport, EventsAndThreadMetadata) {
 }
 
 TEST(ChromeExport, SleepPairsBecomeDurationEvents) {
-  if (!trace_compiled_in()) GTEST_SKIP() << "built with ICILK_TRACE=OFF";
+  if (!compiled_in()) GTEST_SKIP() << "built with ICILK_OBS=OFF";
   TraceSink sink(64, true);
   TraceRing& w0 = sink.acquire_ring("worker0");
   w0.record(EventKind::kSleepBegin);
@@ -79,7 +79,7 @@ TEST(ChromeExport, SleepPairsBecomeDurationEvents) {
 }
 
 TEST(ChromeExport, TimestampsStartNearZeroMicroseconds) {
-  if (!trace_compiled_in()) GTEST_SKIP() << "built with ICILK_TRACE=OFF";
+  if (!compiled_in()) GTEST_SKIP() << "built with ICILK_OBS=OFF";
   TraceSink sink(64, true);
   TraceRing& w0 = sink.acquire_ring("worker0");
   w0.record(EventKind::kSpawn, 0, 0);
@@ -93,7 +93,7 @@ TEST(ChromeExport, TimestampsStartNearZeroMicroseconds) {
 // document is checked: every event carries its required fields, request
 // flows close with a binding point, and each lane's ts never decreases.
 TEST(ChromeExport, ParsedEventsCarryRequiredFields) {
-  if (!trace_compiled_in()) GTEST_SKIP() << "built with ICILK_TRACE=OFF";
+  if (!compiled_in()) GTEST_SKIP() << "built with ICILK_OBS=OFF";
   TraceSink sink(64, true);
   TraceRing& w0 = sink.acquire_ring("worker0");
   TraceRing& io = sink.acquire_ring("io\"0");

@@ -86,7 +86,7 @@ TEST_F(MetricsHttpTest, MetricsEndpointServesPrometheusText) {
   rt->submit(1, [&] {
     rt->req_begin();
     spawn([] {
-      volatile int x = 0;
+      volatile unsigned x = 0;
       for (int i = 0; i < 100000; ++i) x = x + i;
     });
     sync();
@@ -99,7 +99,7 @@ TEST_F(MetricsHttpTest, MetricsEndpointServesPrometheusText) {
   EXPECT_NE(resp.find("text/plain; version=0.0.4"), std::string::npos);
   EXPECT_NE(resp.find("icilk_events_total"), std::string::npos);
   EXPECT_NE(resp.find("icilk_trace_ring_recorded_total"), std::string::npos);
-  if (obs::reqtrace_compiled_in()) {
+  if (obs::compiled_in()) {
     EXPECT_NE(resp.find("icilk_request_latency_seconds"), std::string::npos);
     EXPECT_NE(resp.find("icilk_request_phase_seconds"), std::string::npos);
     EXPECT_NE(resp.find("phase=\"executing\""), std::string::npos);
@@ -107,8 +107,8 @@ TEST_F(MetricsHttpTest, MetricsEndpointServesPrometheusText) {
 }
 
 TEST_F(MetricsHttpTest, LatencyEndpointServesJsonTimelines) {
-  if (!obs::reqtrace_compiled_in()) {
-    GTEST_SKIP() << "ICILK_REQTRACE=OFF";
+  if (!obs::compiled_in()) {
+    GTEST_SKIP() << "ICILK_OBS=OFF";
   }
   rt->submit(2, [&] {
     rt->req_begin();
@@ -171,7 +171,7 @@ TEST(McMetricsHttp, StatsIcilkLatencyAndMetricsPort) {
     ::close(fd);
   }
 
-  if (obs::reqtrace_compiled_in()) {
+  if (obs::compiled_in()) {
     // `stats icilk latency` over the kv protocol.
     const int fd = net::connect_tcp(static_cast<std::uint16_t>(server->port()));
     ASSERT_GE(fd, 0);

@@ -14,6 +14,7 @@
 #include <memory>
 #include <string>
 
+#include "inject/inject.hpp"
 #include "obs/exposition.hpp"
 #include "obs/flightrec.hpp"
 #include "obs/metrics.hpp"
@@ -192,7 +193,7 @@ STAT icilk_l2_worst0 id=21 total_us=2500 hops=queueing@0:+0us,runnable@1:+1200us
 
 TEST_F(ObsGolden, ParallelismJson) {
   EXPECT_EQ(parallelism_json(m),
-            "{\"compiled_in\":" + tf(spanprof_compiled_in()) +
+            "{\"compiled_in\":" + tf(compiled_in()) +
                 R"G(,"requests":3,"work_ms":9.350,"span_ms":2.640,"levels":[{"level":1,"count":2,"work_us":{"p50":50.2,"p99":303.1,"mean":175.0},"span_us":{"p50":40.4,"p99":100.4,"mean":70.0},"bspan_us":{"p50":45.1,"p99":110.6},"parallelism":{"p10":1.263,"p50":1.263,"p90":3.007},"worst":[{"id":12,"work_us":50.0,"span_us":40.0,"bspan_us":45.0,"par":1.250},{"id":11,"work_us":300.0,"span_us":100.0,"bspan_us":110.0,"par":3.000}]},{"level":2,"count":1,"work_us":{"p50":9044.0,"p99":9044.0,"mean":9000.0},"span_us":{"p50":2523.1,"p99":2523.1,"mean":2500.0},"bspan_us":{"p50":2523.1,"p99":2523.1},"parallelism":{"p10":3.615,"p50":3.615,"p90":3.615},"worst":[{"id":21,"work_us":9000.0,"span_us":2500.0,"bspan_us":2500.0,"par":3.600}]}]})G");
 }
 
@@ -486,7 +487,7 @@ TEST_F(ObsGolden, WatchdogHealth) {
   wd.sample_once(scripted_sample(1000000));
   wd.sample_once(scripted_sample(11000000));
   EXPECT_EQ(wd.health_json(), "{\"watchdog\":{\"compiled_in\":" +
-                                  tf(watchdog_compiled_in()) +
+                                  tf(compiled_in()) +
                                   R"G(,"scheduler":"pro\"mpt\\q\n","period_ms":10,"samples":2,"gauges":{"sleepers":1,"wakeups":17,"zero_transitions":5,"tasks_run":400,"active_levels":2,"suspended":3,"resumable":1,"susp_age_max_ns":12000,"res_age_max_ns":2000,"io_armed":4,"timers_pending":1},"trips":{"promptness":0,"aging_stall":0,"wake_storm":0,"census_leak":0,"total":0},"bundles":{"written":0,"last_path":""}}})G");
   EXPECT_EQ(wd.health_stats_text("icilk_", "\n"), R"G(STAT icilk_wd_samples 2
 STAT icilk_wd_period_ms 10
@@ -510,8 +511,8 @@ STAT icilk_wd_bundles 0
 }
 
 TEST_F(ObsGolden, ProfilerHealth) {
-  const std::string ci = tf(profile_compiled_in());
-  const std::string ci01 = profile_compiled_in() ? "1" : "0";
+  const std::string ci = tf(compiled_in());
+  const std::string ci01 = compiled_in() ? "1" : "0";
   EXPECT_EQ(prof_health_json(nullptr),
             "{\"compiled_in\":" + ci + ",\"running\":false}");
   EXPECT_EQ(prof_health_stats_text(nullptr, "icilk_", "\n"),
@@ -548,6 +549,11 @@ TEST_F(ObsGolden, ProfileReportJson) {
 }
 
 TEST_F(ObsGolden, FlightBundle) {
+  // The build stamp names the two compile-out switches, in this order.
+  const std::string flags = build_flags_string();
+  EXPECT_EQ(flags.substr(0, flags.find(" sanitize=")),
+            std::string("obs=") + (compiled_in() ? "ON" : "OFF") +
+                " inject=" + (inject::compiled_in() ? "ON" : "OFF"));
   FlightBundle b;
   b.reason = "manual";
   b.detail = "level 2 \"stuck\"\tfor 3ms";
@@ -564,7 +570,7 @@ TEST_F(ObsGolden, FlightBundle) {
   std::string doc = flight_bundle_json(b);
   const std::size_t pid = doc.find("\"pid\":") + 6;
   doc.replace(pid, doc.find(',', pid) - pid, "0");
-  EXPECT_EQ(doc, R"G({"flight_bundle":1,"reason":"manual","detail":"level 2 \"stuck\"\tfor 3ms","build_flags":"golden","scheduler":"prompt","pid":0,"inject_seed":42,"bundles_written":3,"trips":{"promptness":1,"aging_stall":0,"wake_storm":2,"census_leak":0},"trigger":{"t_ns":11000000,"bitfield":"0x6","num_levels":4,"num_workers":2,"sleepers":1,"wakeups":17,"zero_transitions":5,"tasks_run":400,"suspended":3,"resumable":1,"susp_age_ns":{"p50":1000,"p99":9000,"max":12000},"res_age_ns":{"p50":2000,"p99":2000,"max":2000},"res_oldest":{"level":2,"age_ns":2000},"io_armed":4,"timers_pending":1,"workers":[{"state":"working","level":1},{"state":"stealing","level":0}],"levels":{"1":{"pool":2,"mug":1,"census":0},"2":{"pool":0,"mug":0,"census":3}}},"samples":[{"t_ns":1000000,"bitfield":"0x6","num_levels":4,"num_workers":2,"sleepers":1,"wakeups":17,"zero_transitions":5,"tasks_run":400,"suspended":3,"resumable":1,"susp_age_ns":{"p50":1000,"p99":9000,"max":12000},"res_age_ns":{"p50":2000,"p99":2000,"max":2000},"res_oldest":{"level":2,"age_ns":2000},"io_armed":4,"timers_pending":1,"workers":[{"state":"working","level":1},{"state":"stealing","level":0}],"levels":{"1":{"pool":2,"mug":1,"census":0},"2":{"pool":0,"mug":0,"census":3}}},{"t_ns":11000000,"bitfield":"0x6","num_levels":4,"num_workers":2,"sleepers":1,"wakeups":17,"zero_transitions":5,"tasks_run":400,"suspended":3,"resumable":1,"susp_age_ns":{"p50":1000,"p99":9000,"max":12000},"res_age_ns":{"p50":2000,"p99":2000,"max":2000},"res_oldest":{"level":2,"age_ns":2000},"io_armed":4,"timers_pending":1,"workers":[{"state":"working","level":1},{"state":"stealing","level":0}],"levels":{"1":{"pool":2,"mug":1,"census":0},"2":{"pool":0,"mug":0,"census":3}}}],"latency":{"levels":[{"level":1,"count":4,"total_us":{"p50":35.3,"p90":120.8,"p99":120.8,"max":120.0,"mean":55.8},"phases":{"queueing":{"count":4,"sum_us":22.3,"p50":3.5,"p99":12.0,"max":12.0},"executing":{"count":4,"sum_us":133.8,"p50":21.2,"p99":72.7,"max":72.0},"runnable":{"count":0,"sum_us":0.0,"p50":0.0,"p99":0.0,"max":0.0},"suspended_io":{"count":4,"sum_us":66.9,"p50":10.6,"p99":36.4,"max":36.0},"suspended_sync":{"count":0,"sum_us":0.0,"p50":0.0,"p99":0.0,"max":0.0}},"worst":[{"id":11,"total_us":120.0,"hops_dropped":0,"hops":[{"t_us":0.0,"phase":"queueing","where":0},{"t_us":12.0,"phase":"executing","where":1},{"t_us":40.0,"phase":"suspended_io","where":-32768},{"t_us":100.0,"phase":"executing","where":0}]},{"id":14,"total_us":60.0,"hops_dropped":0,"hops":[{"t_us":0.0,"phase":"queueing","where":0}]},{"id":12,"total_us":35.0,"hops_dropped":2,"hops":[{"t_us":0.0,"phase":"queueing","where":0},{"t_us":3.0,"phase":"executing","where":1}]},{"id":13,"total_us":8.0,"hops_dropped":0,"hops":[{"t_us":0.0,"phase":"queueing","where":1}]}]},{"level":2,"count":1,"total_us":{"p50":2523.1,"p90":2523.1,"p99":2523.1,"max":2500.0,"mean":2500.0},"phases":{"queueing":{"count":1,"sum_us":250.0,"p50":251.9,"p99":251.9,"max":250.0},"executing":{"count":1,"sum_us":1500.0,"p50":1507.3,"p99":1507.3,"max":1500.0},"runnable":{"count":0,"sum_us":0.0,"p50":0.0,"p99":0.0,"max":0.0},"suspended_io":{"count":1,"sum_us":750.0,"p50":753.7,"p99":753.7,"max":750.0},"suspended_sync":{"count":0,"sum_us":0.0,"p50":0.0,"p99":0.0,"max":0.0}},"worst":[{"id":21,"total_us":2500.0,"hops_dropped":0,"hops":[{"t_us":0.0,"phase":"queueing","where":0},{"t_us":1200.0,"phase":"runnable","where":1}]}]}]},"parallelism":{"compiled_in":)G" + tf(spanprof_compiled_in()) +
+  EXPECT_EQ(doc, R"G({"flight_bundle":1,"reason":"manual","detail":"level 2 \"stuck\"\tfor 3ms","build_flags":"golden","scheduler":"prompt","pid":0,"inject_seed":42,"bundles_written":3,"trips":{"promptness":1,"aging_stall":0,"wake_storm":2,"census_leak":0},"trigger":{"t_ns":11000000,"bitfield":"0x6","num_levels":4,"num_workers":2,"sleepers":1,"wakeups":17,"zero_transitions":5,"tasks_run":400,"suspended":3,"resumable":1,"susp_age_ns":{"p50":1000,"p99":9000,"max":12000},"res_age_ns":{"p50":2000,"p99":2000,"max":2000},"res_oldest":{"level":2,"age_ns":2000},"io_armed":4,"timers_pending":1,"workers":[{"state":"working","level":1},{"state":"stealing","level":0}],"levels":{"1":{"pool":2,"mug":1,"census":0},"2":{"pool":0,"mug":0,"census":3}}},"samples":[{"t_ns":1000000,"bitfield":"0x6","num_levels":4,"num_workers":2,"sleepers":1,"wakeups":17,"zero_transitions":5,"tasks_run":400,"suspended":3,"resumable":1,"susp_age_ns":{"p50":1000,"p99":9000,"max":12000},"res_age_ns":{"p50":2000,"p99":2000,"max":2000},"res_oldest":{"level":2,"age_ns":2000},"io_armed":4,"timers_pending":1,"workers":[{"state":"working","level":1},{"state":"stealing","level":0}],"levels":{"1":{"pool":2,"mug":1,"census":0},"2":{"pool":0,"mug":0,"census":3}}},{"t_ns":11000000,"bitfield":"0x6","num_levels":4,"num_workers":2,"sleepers":1,"wakeups":17,"zero_transitions":5,"tasks_run":400,"suspended":3,"resumable":1,"susp_age_ns":{"p50":1000,"p99":9000,"max":12000},"res_age_ns":{"p50":2000,"p99":2000,"max":2000},"res_oldest":{"level":2,"age_ns":2000},"io_armed":4,"timers_pending":1,"workers":[{"state":"working","level":1},{"state":"stealing","level":0}],"levels":{"1":{"pool":2,"mug":1,"census":0},"2":{"pool":0,"mug":0,"census":3}}}],"latency":{"levels":[{"level":1,"count":4,"total_us":{"p50":35.3,"p90":120.8,"p99":120.8,"max":120.0,"mean":55.8},"phases":{"queueing":{"count":4,"sum_us":22.3,"p50":3.5,"p99":12.0,"max":12.0},"executing":{"count":4,"sum_us":133.8,"p50":21.2,"p99":72.7,"max":72.0},"runnable":{"count":0,"sum_us":0.0,"p50":0.0,"p99":0.0,"max":0.0},"suspended_io":{"count":4,"sum_us":66.9,"p50":10.6,"p99":36.4,"max":36.0},"suspended_sync":{"count":0,"sum_us":0.0,"p50":0.0,"p99":0.0,"max":0.0}},"worst":[{"id":11,"total_us":120.0,"hops_dropped":0,"hops":[{"t_us":0.0,"phase":"queueing","where":0},{"t_us":12.0,"phase":"executing","where":1},{"t_us":40.0,"phase":"suspended_io","where":-32768},{"t_us":100.0,"phase":"executing","where":0}]},{"id":14,"total_us":60.0,"hops_dropped":0,"hops":[{"t_us":0.0,"phase":"queueing","where":0}]},{"id":12,"total_us":35.0,"hops_dropped":2,"hops":[{"t_us":0.0,"phase":"queueing","where":0},{"t_us":3.0,"phase":"executing","where":1}]},{"id":13,"total_us":8.0,"hops_dropped":0,"hops":[{"t_us":0.0,"phase":"queueing","where":1}]}]},{"level":2,"count":1,"total_us":{"p50":2523.1,"p90":2523.1,"p99":2523.1,"max":2500.0,"mean":2500.0},"phases":{"queueing":{"count":1,"sum_us":250.0,"p50":251.9,"p99":251.9,"max":250.0},"executing":{"count":1,"sum_us":1500.0,"p50":1507.3,"p99":1507.3,"max":1500.0},"runnable":{"count":0,"sum_us":0.0,"p50":0.0,"p99":0.0,"max":0.0},"suspended_io":{"count":1,"sum_us":750.0,"p50":753.7,"p99":753.7,"max":750.0},"suspended_sync":{"count":0,"sum_us":0.0,"p50":0.0,"p99":0.0,"max":0.0}},"worst":[{"id":21,"total_us":2500.0,"hops_dropped":0,"hops":[{"t_us":0.0,"phase":"queueing","where":0},{"t_us":1200.0,"phase":"runnable","where":1}]}]}]},"parallelism":{"compiled_in":)G" + tf(compiled_in()) +
                      R"G(,"requests":3,"work_ms":9.350,"span_ms":2.640,"levels":[{"level":1,"count":2,"work_us":{"p50":50.2,"p99":303.1,"mean":175.0},"span_us":{"p50":40.4,"p99":100.4,"mean":70.0},"bspan_us":{"p50":45.1,"p99":110.6},"parallelism":{"p10":1.263,"p50":1.263,"p90":3.007},"worst":[{"id":12,"work_us":50.0,"span_us":40.0,"bspan_us":45.0,"par":1.250},{"id":11,"work_us":300.0,"span_us":100.0,"bspan_us":110.0,"par":3.000}]},{"level":2,"count":1,"work_us":{"p50":9044.0,"p99":9044.0,"mean":9000.0},"span_us":{"p50":2523.1,"p99":2523.1,"mean":2500.0},"bspan_us":{"p50":2523.1,"p99":2523.1},"parallelism":{"p10":3.615,"p50":3.615,"p90":3.615},"worst":[{"id":21,"work_us":9000.0,"span_us":2500.0,"bspan_us":2500.0,"par":3.600}]}]},"metrics_stat":"STAT l1_steals 3\nSTAT l1_mugs 2\nSTAT l1_abandons 1\nSTAT l1_resumes 2\nSTAT l1_suspends 2\nSTAT l1_prompt_count 2\nSTAT l1_prompt_p50_us 1\nSTAT l1_prompt_p99_us 251\nSTAT l1_prompt_max_us 250\nSTAT l1_aging_count 1\nSTAT l1_aging_p50_us 42\nSTAT l1_aging_p99_us 42\nSTAT l1_aging_max_us 42\nSTAT l1_par_count 2\nSTAT l1_work_p50_us 50\nSTAT l1_span_p50_us 40\nSTAT l1_bspan_p50_us 45\nSTAT l1_par_p50_milli 1263\nSTAT l1_par_p10_milli 1263\nSTAT l2_steals 1\nSTAT l2_mugs 0\nSTAT l2_abandons 0\nSTAT l2_resumes 0\nSTAT l2_suspends 0\nSTAT l2_par_count 1\nSTAT l2_work_p50_us 9043\nSTAT l2_span_p50_us 2523\nSTAT l2_bspan_p50_us 2523\nSTAT l2_par_p50_milli 3615\nSTAT l2_par_p10_milli 3615\nSTAT io_fd_probes 7\nSTAT io_timers_sharded 2\nSTAT io_armed_ops 3\nSTAT wd_samples 2\nSTAT wd_sleepers 1\nSTAT wd_wakeups 0\nSTAT wd_zero_transitions 0\nSTAT wd_suspended 0\nSTAT wd_resumable 0\nSTAT wd_susp_age_max_us 15\nSTAT wd_res_age_max_us 0\nSTAT wd_active_levels 0\nSTAT wd_io_armed 0\nSTAT wd_timers_pending 0\nSTAT wd_trips_promptness 0\nSTAT wd_trips_aging_stall 0\nSTAT wd_trips_wake_storm 0\nSTAT wd_trips_census_leak 0\nSTAT wd_bundles 0\n","timeseries":{"timeseries":1,"scheduler":"prompt","epoch_ms":100,"capacity":4,"epochs_closed":2,"epochs":[{"seq":0,"t_ns":1,"duration_ns":0,"steals":4,"mugs":2,"abandons":1,"resumes":2,"io_submits":1,"io_completes":0,"sp_reqs":3,"sp_work_ns":9350000,"sp_span_ns":2640000,"sleepers":1,"io_armed":4,"timers_pending":1,"bitfield":"0x6","levels":{"1":{"count":3,"p50_ns":35327,"p99_ns":120831,"max_ns":120000,"pool":2,"mug":1},"2":{"count":1,"p50_ns":2523135,"p99_ns":2523135,"max_ns":2500000,"pool":0,"mug":0}}},{"seq":1,"t_ns":100000001,"duration_ns":100000000,"steals":0,"mugs":0,"abandons":0,"resumes":0,"io_submits":0,"io_completes":0,"sp_reqs":0,"sp_work_ns":0,"sp_span_ns":0,"sleepers":1,"io_armed":4,"timers_pending":1,"bitfield":"0x6","levels":{"1":{"count":1,"p50_ns":60415,"p99_ns":60415,"max_ns":60415,"pool":2,"mug":1}}}]}
 }
 )G");

@@ -282,8 +282,8 @@ std::uint64_t count_for_prefix(const ProfileReport& r,
 
 struct ProfAttribution : ::testing::Test {
   void SetUp() override {
-    if (!profile_compiled_in()) {
-      GTEST_SKIP() << "ICILK_PROFILE=OFF: hooks compiled out";
+    if (!compiled_in()) {
+      GTEST_SKIP() << "ICILK_OBS=OFF: hooks compiled out";
     }
   }
 };
@@ -485,7 +485,7 @@ TEST_F(ProfAttribution, RealTimerSmokeCapturesBusyWorkers) {
 }
 
 TEST(ProfCompiledOut, RuntimeHasNoProfilerWhenOff) {
-  if (profile_compiled_in()) GTEST_SKIP() << "hooks compiled in";
+  if (compiled_in()) GTEST_SKIP() << "hooks compiled in";
   auto rt = make_rt(1);
   EXPECT_EQ(rt->profiler(), nullptr);
   // Hooks are no-ops but callable.

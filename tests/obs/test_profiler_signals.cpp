@@ -49,8 +49,8 @@ struct ProfSignals : ::testing::Test {
     if (ICILK_TEST_SANITIZED) {
       GTEST_SKIP() << "signal-armed tests: skip under sanitizers";
     }
-    if (!profile_compiled_in()) {
-      GTEST_SKIP() << "ICILK_PROFILE=OFF: hooks compiled out";
+    if (!compiled_in()) {
+      GTEST_SKIP() << "ICILK_OBS=OFF: hooks compiled out";
     }
   }
 };
@@ -154,7 +154,7 @@ TEST_F(ProfSignals, EintrStormUnderProfilingDeliversAllBytes) {
 // The mask policy makes the nesting one-directional; nothing may deadlock
 // or crash, and both subsystems must complete their jobs.
 TEST_F(ProfSignals, ConcurrentWatchdogDumpsDuringProfileWindow) {
-  if (!watchdog_compiled_in()) GTEST_SKIP() << "ICILK_WATCHDOG=OFF";
+  if (!compiled_in()) GTEST_SKIP() << "ICILK_OBS=OFF";
   RuntimeConfig cfg;
   cfg.num_workers = 2;
   cfg.num_levels = 4;

@@ -25,8 +25,8 @@ using namespace std::chrono_literals;
 
 struct ReqAttributionTest : ::testing::Test {
   void SetUp() override {
-    if (!obs::reqtrace_compiled_in()) {
-      GTEST_SKIP() << "ICILK_REQTRACE=OFF: hooks compiled out";
+    if (!obs::compiled_in()) {
+      GTEST_SKIP() << "ICILK_OBS=OFF: hooks compiled out";
     }
   }
   void TearDown() override { engine.reset(); }

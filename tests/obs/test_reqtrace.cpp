@@ -1,7 +1,7 @@
 // ReqContext unit tests: the phase machine's telescoping-sum invariant,
 // the hop timeline (including overflow accounting), the I/O-hint routing
 // used by the suspend hook, and pooled allocation. These drive the class
-// directly, so they run identically under ICILK_REQTRACE=OFF (only the
+// directly, so they run identically under ICILK_OBS=OFF (only the
 // runtime hook sites compile out, not the class).
 #include <gtest/gtest.h>
 

@@ -388,7 +388,7 @@ TEST(RuntimeSampler, TimeseriesAloneClosesEpochsUntilShutdown) {
 }
 
 TEST(RuntimeSampler, BothConsumersShareOneSample) {
-  if (!watchdog_compiled_in()) GTEST_SKIP() << "ICILK_WATCHDOG=OFF";
+  if (!compiled_in()) GTEST_SKIP() << "ICILK_OBS=OFF";
   auto rt = make_rt(true, true);
   ASSERT_NE(rt->watchdog(), nullptr);
   ASSERT_NE(rt->timeseries(), nullptr);

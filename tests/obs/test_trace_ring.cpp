@@ -12,7 +12,7 @@ namespace icilk::obs {
 namespace {
 
 TEST(TraceRing, RecordsAndSnapshots) {
-  if (!trace_compiled_in()) GTEST_SKIP() << "built with ICILK_TRACE=OFF";
+  if (!compiled_in()) GTEST_SKIP() << "built with ICILK_OBS=OFF";
   TraceSink sink(/*ring_capacity=*/64, /*enabled=*/true);
   TraceRing& ring = sink.acquire_ring("w0");
   ring.record(EventKind::kSpawn, 3, 7);
@@ -28,7 +28,7 @@ TEST(TraceRing, RecordsAndSnapshots) {
 }
 
 TEST(TraceRing, WraparoundKeepsLastCapacityEventsInOrder) {
-  if (!trace_compiled_in()) GTEST_SKIP() << "built with ICILK_TRACE=OFF";
+  if (!compiled_in()) GTEST_SKIP() << "built with ICILK_OBS=OFF";
   constexpr std::size_t kCap = 64;
   TraceSink sink(kCap, true);
   TraceRing& ring = sink.acquire_ring("w0");
@@ -51,7 +51,7 @@ TEST(TraceRing, WraparoundKeepsLastCapacityEventsInOrder) {
 }
 
 TEST(TraceRing, CapacityRoundsUpToPowerOfTwo) {
-  if (!trace_compiled_in()) GTEST_SKIP() << "built with ICILK_TRACE=OFF";
+  if (!compiled_in()) GTEST_SKIP() << "built with ICILK_OBS=OFF";
   TraceSink sink(/*ring_capacity=*/100, true);
   EXPECT_EQ(sink.acquire_ring("w0").capacity(), 128u);
 }
@@ -65,7 +65,7 @@ TEST(TraceRing, DisabledSinkRecordsNothing) {
 
   sink.set_enabled(true);
   ring.record(EventKind::kSpawn, 0, 2);
-  if (trace_compiled_in()) {
+  if (compiled_in()) {
     ASSERT_EQ(ring.snapshot().size(), 1u);
     EXPECT_EQ(ring.snapshot()[0].arg, 2u);
   } else {
@@ -90,7 +90,7 @@ TEST(TraceRing, AcquireRingIsStableAndNamed) {
 // window of consecutive, strictly increasing sequence numbers — torn or
 // reordered records would break monotonicity.
 TEST(TraceRing, SnapshotsAreConsistentUnderConcurrentWrites) {
-  if (!trace_compiled_in()) GTEST_SKIP() << "built with ICILK_TRACE=OFF";
+  if (!compiled_in()) GTEST_SKIP() << "built with ICILK_OBS=OFF";
   TraceSink sink(/*ring_capacity=*/256, true);
   TraceRing& ring = sink.acquire_ring("w0");
 

@@ -433,8 +433,7 @@ TEST(FlightBundle, ParserRejectsGarbage) {
 TEST(FlightBundle, BuildFlagsStringNamesEverySubsystem) {
   const std::string f = build_flags_string();
   for (const char* key :
-       {"trace=", "inject=", "reqtrace=", "watchdog=", "spanprof=",
-        "sanitize=", "assertions="}) {
+       {"obs=", "inject=", "sanitize=", "assertions="}) {
     EXPECT_NE(f.find(key), std::string::npos) << key << " missing in " << f;
   }
 }
@@ -504,7 +503,7 @@ std::unique_ptr<Runtime> make_wd_rt(int workers, int period_ms = 5,
 // The runtime's sampler polls the SIGUSR2 counter on every sample and
 // turns a delivery into an on-demand bundle.
 TEST(WdSignal, Sigusr2TriggersBundle) {
-  if (!watchdog_compiled_in()) GTEST_SKIP() << "ICILK_WATCHDOG=OFF";
+  if (!compiled_in()) GTEST_SKIP() << "ICILK_OBS=OFF";
   auto rt = make_wd_rt(1, 1);
   ASSERT_NE(rt->watchdog(), nullptr);
   ASSERT_TRUE(rt->watchdog()->config().handle_sigusr2);
@@ -522,7 +521,7 @@ TEST(WdSignal, Sigusr2TriggersBundle) {
 }
 
 TEST(WdEndToEnd, RuntimeRunsSamplerAndStaysClean) {
-  if (!watchdog_compiled_in()) GTEST_SKIP() << "ICILK_WATCHDOG=OFF";
+  if (!compiled_in()) GTEST_SKIP() << "ICILK_OBS=OFF";
   auto rt = make_wd_rt(2, 2);
   ASSERT_NE(rt->watchdog(), nullptr);
   // Mixed-priority load; a healthy scheduler must not trip anything.
@@ -548,7 +547,7 @@ TEST(WdEndToEnd, RuntimeRunsSamplerAndStaysClean) {
 }
 
 TEST(WdEndToEnd, InjectPromptMaskTripsPromptnessDetector) {
-  if (!watchdog_compiled_in()) GTEST_SKIP() << "ICILK_WATCHDOG=OFF";
+  if (!compiled_in()) GTEST_SKIP() << "ICILK_OBS=OFF";
   if (!inject::compiled_in()) GTEST_SKIP() << "ICILK_INJECT=OFF";
   // Mask EVERY promptness check: workers dwell at their level no matter
   // what the bitfield says — the exact violation the detector owns.
@@ -605,7 +604,7 @@ TEST(WdEndToEnd, InjectPromptMaskTripsPromptnessDetector) {
 }
 
 TEST(WdEndToEnd, PlantedStaleResumableTripsAgingDetector) {
-  if (!watchdog_compiled_in()) GTEST_SKIP() << "ICILK_WATCHDOG=OFF";
+  if (!compiled_in()) GTEST_SKIP() << "ICILK_OBS=OFF";
   // A resumable-census entry whose publication "got lost": planted
   // directly in the registry (the hook is the public contract), aged far
   // past threshold, while the runtime's workers sit idle.
@@ -622,7 +621,7 @@ TEST(WdEndToEnd, PlantedStaleResumableTripsAgingDetector) {
 }
 
 TEST(WdEndToEnd, SuspendedTasksShowInCensusAndDrainClean) {
-  if (!watchdog_compiled_in()) GTEST_SKIP() << "ICILK_WATCHDOG=OFF";
+  if (!compiled_in()) GTEST_SKIP() << "ICILK_OBS=OFF";
   auto rt = make_wd_rt(2, 2);
   std::atomic<bool> release{false};
   // A gate task occupies one worker until released; blockers pile up
@@ -654,7 +653,7 @@ TEST(WdEndToEnd, SamplerVersusTeardownRace) {
   // the timeseries, racing runtime construction and destruction. Any
   // use-after-free between wd_fill_sample's walk and shutdown order is
   // caught here.
-  const int iters = watchdog_compiled_in() ? 15 : 3;
+  const int iters = compiled_in() ? 15 : 3;
   for (int i = 0; i < iters; ++i) {
     auto rt = make_wd_rt(2, 1, true);
     std::vector<Future<void>> futs;
