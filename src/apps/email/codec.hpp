@@ -17,7 +17,9 @@ namespace icilk::apps {
 std::string lz_compress(std::string_view input);
 
 /// Inverse of lz_compress. Returns false on corrupt input (output state
-/// unspecified then).
+/// unspecified then). A header that claims more than 9 output bytes per
+/// body byte (the most a match token can yield) is rejected before the
+/// output is sized to it.
 bool lz_decompress(std::string_view input, std::string& output);
 
 }  // namespace icilk::apps

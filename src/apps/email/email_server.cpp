@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string_view>
 #include <thread>
 
 #include "apps/email/codec.hpp"
@@ -200,12 +201,18 @@ void EmailServer::op_print(int user) {
       }
     }
   }
+  constexpr std::string_view kHead = "From: user\nBody: ";
+  constexpr std::string_view kTail = "\n--\n";
   std::string out, rendered;
+  // Bodies decompress to body_bytes: one allocation renders the batch.
+  const std::size_t per_msg =
+      kHead.size() + static_cast<std::size_t>(cfg_.body_bytes) + kTail.size();
+  rendered.reserve(packed.size() * per_msg);
   for (const auto& p : packed) {
     if (lz_decompress(p, out)) {
-      rendered += "From: user\nBody: ";
+      rendered += kHead;
       rendered += out;
-      rendered += "\n--\n";
+      rendered += kTail;
     }
   }
   sink_.fetch_add(rendered.size(), std::memory_order_relaxed);

@@ -66,6 +66,12 @@ Request bad(std::string msg) {
   return r;
 }
 
+bool key_too_long(std::string_view key) {
+  return key.size() > RequestParser::kMaxKeyBytes;
+}
+
+Request bad_key() { return bad("bad command line format"); }
+
 }  // namespace
 
 bool RequestParser::take_line(std::string_view& line) {
@@ -142,7 +148,13 @@ bool RequestParser::next(Request& out) {
         out = bad("get requires a key");
         return true;
       }
-      for (std::size_t i = 1; i < toks.size(); ++i) r.keys.emplace_back(toks[i]);
+      for (std::size_t i = 1; i < toks.size(); ++i) {
+        if (key_too_long(toks[i])) {
+          out = bad_key();
+          return true;
+        }
+        r.keys.emplace_back(toks[i]);
+      }
       out = std::move(r);
       return true;
     }
@@ -156,6 +168,12 @@ bool RequestParser::next(Request& out) {
       const std::size_t need = base + (v == Verb::Cas ? 1 : 0);
       if (toks.size() < need) {
         out = bad("bad storage command");
+        return true;
+      }
+      if (key_too_long(toks[1])) {
+        // The declared data block follows; close rather than read it.
+        out = bad_key();
+        out.fatal = true;
         return true;
       }
       r.keys.emplace_back(toks[1]);
@@ -186,6 +204,10 @@ bool RequestParser::next(Request& out) {
         out = bad("delete requires a key");
         return true;
       }
+      if (key_too_long(toks[1])) {
+        out = bad_key();
+        return true;
+      }
       r.keys.emplace_back(toks[1]);
       r.noreply = toks.size() > 2 && toks.back() == "noreply";
       out = std::move(r);
@@ -197,6 +219,10 @@ bool RequestParser::next(Request& out) {
         out = bad("bad counter command");
         return true;
       }
+      if (key_too_long(toks[1])) {
+        out = bad_key();
+        return true;
+      }
       r.keys.emplace_back(toks[1]);
       r.noreply = toks.size() > 3 && toks.back() == "noreply";
       out = std::move(r);
@@ -205,6 +231,10 @@ bool RequestParser::next(Request& out) {
     case Verb::Touch: {
       if (toks.size() < 3 || !parse_double(toks[2], r.exptime_s)) {
         out = bad("bad touch command");
+        return true;
+      }
+      if (key_too_long(toks[1])) {
+        out = bad_key();
         return true;
       }
       r.keys.emplace_back(toks[1]);

@@ -70,6 +70,11 @@ class RequestParser {
   /// then the connection closes, as memcached does.
   static constexpr std::size_t kMaxLineBytes = 8192;
 
+  /// Longest key accepted (memcached's KEY_MAX_LENGTH). A longer key makes
+  /// the command a Bad, `CLIENT_ERROR bad command line format`; for a
+  /// storage command that Bad is fatal, so its data block is never read.
+  static constexpr std::size_t kMaxKeyBytes = 250;
+
   /// Appends raw bytes from the connection.
   void feed(const char* data, std::size_t len) { buf_.append(data, len); }
   void feed(std::string_view s) { buf_.append(s); }

@@ -234,13 +234,38 @@ TEST_P(McServerTest, OverlongLineGetsClientErrorAndClose) {
   TestClient c(server_.port());
   // A line of exactly the cap is still a command.
   const std::size_t cap = kv::RequestParser::kMaxLineBytes;
-  EXPECT_EQ(c.roundtrip("get " + std::string(cap - 4, 'k') + "\r\n",
-                        "END\r\n"),
-            "END\r\n");
+  const std::string key(kv::RequestParser::kMaxKeyBytes, 'k');
+  std::string line = "get";
+  while (line.size() + 1 + key.size() <= cap) line += " " + key;
+  line.resize(cap, ' ');  // trailing blanks add no token
+  EXPECT_EQ(c.roundtrip(line + "\r\n", "END\r\n"), "END\r\n");
   // One byte more, no CRLF: the whole line is read before the cap trips,
   // so the close is a FIN and the reply is readable.
   c.send(std::string(cap + 1, 'x'));
   EXPECT_EQ(c.read_until("NEVER"), "CLIENT_ERROR line too long\r\n");
+}
+
+TEST_P(McServerTest, OverlongKeyGetsClientError) {
+  TestClient c(server_.port());
+  const std::string at_cap(kv::RequestParser::kMaxKeyBytes, 'k');
+  const std::string over = at_cap + "k";
+  EXPECT_EQ(c.roundtrip("set " + at_cap + " 0 0 1\r\nv\r\n", "\r\n"),
+            "STORED\r\n");
+  // Retrieval, delete, counters and touch: an error, and the connection
+  // stays open.
+  for (const std::string& cmd :
+       {"get " + over, "delete " + over, "incr " + over + " 1",
+        "touch " + over + " 10"}) {
+    EXPECT_EQ(c.roundtrip(cmd + "\r\n", "\r\n"),
+              "CLIENT_ERROR bad command line format\r\n")
+        << cmd;
+  }
+  EXPECT_EQ(c.roundtrip("get " + at_cap + "\r\n", "END\r\n"),
+            "VALUE " + at_cap + " 0 1\r\nv\r\nEND\r\n");
+  // A storage command: the same error, then a close; its body is not
+  // read as commands.
+  c.send("set " + over + " 0 0 7\r\nversion\r\n");
+  EXPECT_EQ(c.read_until("NEVER"), "CLIENT_ERROR bad command line format\r\n");
 }
 
 TEST_P(McServerTest, StatsReflectTraffic) {

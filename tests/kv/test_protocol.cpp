@@ -115,6 +115,15 @@ TEST(Parser, OversizedValueRejected) {
   EXPECT_EQ(r.verb, Verb::Bad);
 }
 
+/// A `get` line of exactly `len` bytes whose keys all fit the key cap.
+std::string get_line_of(std::size_t len) {
+  const std::string key(RequestParser::kMaxKeyBytes, 'k');
+  std::string line = "get";
+  while (line.size() + 1 + key.size() <= len) line += " " + key;
+  line.resize(len, ' ');  // trailing blanks add no token
+  return line;
+}
+
 TEST(Parser, CrlfLessFloodEndsInLineTooLong) {
   // A hostile client streams 16 MiB with no CRLF in 16 KiB reads: the
   // parser never holds more than the cap plus one read, and every verdict
@@ -143,8 +152,11 @@ TEST(Parser, LineCapSparesDataBlocks) {
   // A line of exactly the cap parses; a data block far beyond it, fed in
   // reads smaller than the block, is not a line.
   const std::size_t cap = RequestParser::kMaxLineBytes;
-  const std::string at_cap = "get " + std::string(cap - 4, 'k');
-  EXPECT_EQ(parse_one(at_cap + "\r\n").verb, Verb::Get);
+  const std::string at_cap = get_line_of(cap);
+  const Request full = parse_one(at_cap + "\r\n");
+  EXPECT_EQ(full.verb, Verb::Get);
+  EXPECT_EQ(full.keys.size(),
+            (cap - 3) / (RequestParser::kMaxKeyBytes + 1));
   {
     // ... also when its CRLF is split across two reads.
     RequestParser p;
@@ -173,6 +185,51 @@ TEST(Parser, LineCapSparesDataBlocks) {
   EXPECT_EQ(r.data, value);
   EXPECT_EQ(parse_one(std::string(cap + 1, 'x') + "\r\n").error,
             "line too long");
+}
+
+TEST(Parser, KeyCapIsMemcachedKeyMaxLength) {
+  const std::string at_cap(RequestParser::kMaxKeyBytes, 'k');
+  const std::string over(RequestParser::kMaxKeyBytes + 1, 'k');
+  // At the cap every keyed command parses.
+  for (const std::string& wire :
+       {"get " + at_cap + "\r\n", "gets a " + at_cap + "\r\n",
+        "delete " + at_cap + "\r\n", "incr " + at_cap + " 1\r\n",
+        "decr " + at_cap + " 1\r\n", "touch " + at_cap + " 10\r\n",
+        "set " + at_cap + " 0 0 1\r\nx\r\n",
+        "cas " + at_cap + " 0 0 1 7\r\nx\r\n"}) {
+    const Request r = parse_one(wire);
+    EXPECT_NE(r.verb, Verb::Bad) << wire;
+    EXPECT_EQ(r.keys.back(), at_cap) << wire;
+  }
+  // One byte over: a Bad that keeps the connection, and the next command
+  // on the same connection still parses.
+  for (const std::string& line :
+       {"get " + over, "gets a " + over + " b", "delete " + over,
+        "incr " + over + " 1", "decr " + over + " 1",
+        "touch " + over + " 10"}) {
+    RequestParser p;
+    p.feed(line + "\r\nversion\r\n");
+    Request r;
+    ASSERT_TRUE(p.next(r)) << line;
+    EXPECT_EQ(r.verb, Verb::Bad) << line;
+    EXPECT_EQ(r.error, "bad command line format") << line;
+    EXPECT_FALSE(r.fatal) << line;
+    ASSERT_TRUE(p.next(r)) << line;
+    EXPECT_EQ(r.verb, Verb::Version) << line;
+  }
+  // A storage command: the same error, fatal, before its body is read.
+  for (const std::string& line :
+       {"set " + over + " 0 0 5", "add " + over + " 0 0 5",
+        "replace " + over + " 0 0 5", "append " + over + " 0 0 5",
+        "prepend " + over + " 0 0 5", "cas " + over + " 0 0 5 1"}) {
+    RequestParser p;
+    p.feed(line + "\r\n");
+    Request r;
+    ASSERT_TRUE(p.next(r)) << line;
+    EXPECT_EQ(r.verb, Verb::Bad) << line;
+    EXPECT_EQ(r.error, "bad command line format") << line;
+    EXPECT_TRUE(r.fatal) << line;
+  }
 }
 
 TEST(Parser, DeleteIncrTouch) {
@@ -268,6 +325,21 @@ TEST_F(ExecTest, VersionAndQuit) {
 TEST_F(ExecTest, BadCommandReportsClientError) {
   const std::string out = run("frobnicate\r\n");
   EXPECT_TRUE(out.rfind("CLIENT_ERROR", 0) == 0);
+}
+
+TEST_F(ExecTest, OverlongKeyRepliesAndClosesOnlyForStorage) {
+  const std::string over(RequestParser::kMaxKeyBytes + 1, 'k');
+  EXPECT_EQ(run("get " + over + "\r\nversion\r\n"),
+            "CLIENT_ERROR bad command line format\r\n"
+            "VERSION 1.0.0-minicached\r\n");
+  RequestParser p;
+  p.feed("set " + over + " 0 0 3\r\nabc\r\n");
+  Request r;
+  ASSERT_TRUE(p.next(r));
+  std::string out;
+  EXPECT_FALSE(execute(r, store, out));  // fatal: close the connection
+  EXPECT_EQ(out, "CLIENT_ERROR bad command line format\r\n");
+  EXPECT_EQ(store.stats().curr_items, 0u);
 }
 
 TEST_F(ExecTest, OverlongLineRepliesAndCloses) {

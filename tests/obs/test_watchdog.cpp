@@ -597,7 +597,14 @@ TEST(WdEndToEnd, InjectPromptMaskTripsPromptnessDetector) {
   const ParsedFlightBundle b =
       parse_flight_bundle(read_file(rt->watchdog()->last_bundle_path()));
   ASSERT_TRUE(b.ok) << b.error;
-  EXPECT_EQ(b.reason, "promptness");
+  // The masked level-5 work is also a Resumable census entry, so the
+  // aging detector trips on the same fault. Its clock starts at submit,
+  // the promptness clock at the first sample that sees the level, and
+  // auto bundles are rate-limited to one a second: after a late sampler
+  // wake the first (only) bundle can read aging_stall. The promptness
+  // trip itself is asserted above.
+  EXPECT_TRUE(b.reason == "promptness" || b.reason == "aging_stall")
+      << b.reason;
   EXPECT_EQ(b.inject_seed, 0xC0FFEEull);
   std::remove(rt->watchdog()->last_bundle_path().c_str());
   rt->shutdown();
